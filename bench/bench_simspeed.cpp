@@ -41,6 +41,7 @@
 #include "sim/Machine.h"
 #include "workloads/MatMul.h"
 #include "workloads/Phases.h"
+#include "workloads/RunSpec.h"
 
 #include <atomic>
 #include <chrono>
@@ -57,6 +58,7 @@
 #include <sys/resource.h>
 
 using namespace lbp;
+using workloads::EngineSpec;
 
 //===----------------------------------------------------------------------===//
 // Counting allocator: every heap allocation in the process bumps one
@@ -133,10 +135,10 @@ struct Fingerprint {
   }
 };
 
-/// One (engine, thread-count) cell of the comparison matrix.
+/// One (engine, thread-count) cell of the comparison matrix, named by
+/// Spec.name(): "reference", "fastpath" or "parallel-tN" (N >= 1 here).
 struct EngineResult {
-  std::string Engine; ///< "reference", "fastpath" or "parallel-tN".
-  unsigned HostThreads = 1;
+  EngineSpec Spec;
   Fingerprint Fp;
   double HostSeconds = 0.0;
   double CyclesPerSec = 0.0;
@@ -167,8 +169,7 @@ struct WorkloadResult {
 /// document localizing the first divergent trace event.
 struct DivergenceRecord {
   std::string Workload;
-  std::string RefEngine, Engine;
-  unsigned RefThreads = 1, Threads = 1;
+  EngineSpec RefSpec, Spec;
   Fingerprint Ref, Got;
   std::string TriageJson;
 };
@@ -181,34 +182,36 @@ long peakRssKb() {
   return Ru.ru_maxrss; // KiB on Linux
 }
 
+/// The exact config of a matrix cell. The bench measures the sharded
+/// engine itself, not the host's cpu count: it spawns the requested
+/// workers even when oversubscribed. The JSON records the hardware
+/// concurrency next to each cell so readers can judge which timings had
+/// real cpus behind them.
+sim::SimConfig cellConfig(sim::SimConfig Cfg, const EngineSpec &Spec) {
+  Spec.applyTo(Cfg);
+  Cfg.OversubscribeHost = true;
+  return Cfg;
+}
+
 /// One timed run. Only Machine::run is on the clock; assembly and image
 /// load are setup. Verification is the caller's job (via the hook) —
 /// a bench must never report numbers from a broken run.
-EngineResult timedRun(const assembler::Program &Prog, sim::SimConfig Cfg,
-                      const std::string &Engine, bool FastPath,
-                      unsigned HostThreads,
+EngineResult timedRun(const assembler::Program &Prog,
+                      const sim::SimConfig &Cfg, const EngineSpec &Spec,
                       const std::function<void(sim::Machine &)> &Verify) {
-  Cfg.FastPath = FastPath;
-  Cfg.HostThreads = HostThreads;
-  // The bench measures the sharded engine itself, not the host's cpu
-  // count: spawn the requested workers even when oversubscribed. The
-  // JSON records the hardware concurrency next to each cell so readers
-  // can judge which timings had real cpus behind them.
-  Cfg.OversubscribeHost = true;
-  sim::Machine M(Cfg);
+  sim::Machine M(cellConfig(Cfg, Spec));
   M.load(Prog);
   auto T0 = std::chrono::steady_clock::now();
   sim::RunStatus S = M.run();
   auto T1 = std::chrono::steady_clock::now();
   if (S != sim::RunStatus::Exited) {
     std::fprintf(stderr, "bench_simspeed: %s run did not exit cleanly: %s\n",
-                 Engine.c_str(), M.faultMessage().c_str());
+                 Spec.name().c_str(), M.faultMessage().c_str());
     std::exit(1);
   }
   Verify(M);
   EngineResult R;
-  R.Engine = Engine;
-  R.HostThreads = HostThreads;
+  R.Spec = Spec;
   R.Fp = {S, M.cycles(), M.retired(), M.traceHash()};
   R.HostSeconds = std::chrono::duration<double>(T1 - T0).count();
   if (R.HostSeconds > 0.0) {
@@ -234,18 +237,6 @@ struct Options {
   uint64_t Perturb = 0;
 };
 
-/// Rebuilds the exact config of a matrix cell for the triage replay.
-obs::TriageRunSpec triageSpecFor(const EngineResult &E,
-                                 sim::SimConfig Cfg) {
-  Cfg.FastPath = E.Engine != "reference";
-  Cfg.HostThreads = E.HostThreads;
-  Cfg.OversubscribeHost = true; // timedRun forces real shard workers
-  obs::TriageRunSpec S;
-  S.Name = E.Engine;
-  S.Cfg = Cfg;
-  return S;
-}
-
 WorkloadResult
 runWorkload(const Options &Opt, const std::string &Name,
             const std::string &Source, sim::SimConfig Cfg,
@@ -264,20 +255,18 @@ runWorkload(const Options &Opt, const std::string &Name,
   // The reference fingerprint every other cell is compared against.
   // When --engines excludes "reference", the fastpath run seeds it
   // (the thread sweep is still checked against something serial).
+  using Kind = EngineSpec::Kind;
   if (Opt.RunReference)
-    W.Engines.push_back(
-        timedRun(R.Prog, Cfg, "reference", /*FastPath=*/false, 1, Verify));
+    W.Engines.push_back(timedRun(R.Prog, Cfg, {Kind::Reference}, Verify));
   if (Opt.RunFastPath)
-    W.Engines.push_back(
-        timedRun(R.Prog, Cfg, "fastpath", /*FastPath=*/true, 1, Verify));
+    W.Engines.push_back(timedRun(R.Prog, Cfg, {Kind::FastPath}, Verify));
   if (Opt.RunParallel)
     for (unsigned T : Opt.Threads)
-      W.Engines.push_back(timedRun(R.Prog, Cfg,
-                                   "parallel-t" + std::to_string(T),
-                                   /*FastPath=*/true, T, Verify));
+      W.Engines.push_back(timedRun(R.Prog, Cfg, {Kind::Parallel, T}, Verify));
   if (W.Engines.empty())
     return W;
 
+  const EngineSpec &RefSpec = W.Engines.front().Spec;
   const Fingerprint &Ref = W.Engines.front().Fp;
   for (EngineResult &E : W.Engines) {
     E.Identical = E.Fp == Ref;
@@ -286,14 +275,12 @@ runWorkload(const Options &Opt, const std::string &Name,
       // from the last agreeing snapshot and embed the first-divergent-
       // event report in the JSON payload instead of a bare exit.
       obs::TriageResult TR = obs::triageDivergence(
-          R.Prog, triageSpecFor(W.Engines.front(), Cfg),
-          triageSpecFor(E, Cfg));
+          R.Prog, {RefSpec.name(), cellConfig(Cfg, RefSpec)},
+          {E.Spec.name(), cellConfig(Cfg, E.Spec)});
       DivergenceRecord D;
       D.Workload = Name;
-      D.RefEngine = W.Engines.front().Engine;
-      D.Engine = E.Engine;
-      D.RefThreads = W.Engines.front().HostThreads;
-      D.Threads = E.HostThreads;
+      D.RefSpec = RefSpec;
+      D.Spec = E.Spec;
       D.Ref = Ref;
       D.Got = E.Fp;
       D.TriageJson = obs::triageReportToJson(TR, Name);
@@ -303,10 +290,10 @@ runWorkload(const Options &Opt, const std::string &Name,
           "bench_simspeed: ENGINE DIVERGENCE on %s (%s):\n"
           "  %-10s cycles=%llu retired=%llu hash=%016llx\n"
           "  %-10s cycles=%llu retired=%llu hash=%016llx\n",
-          Name.c_str(), E.Engine.c_str(), W.Engines.front().Engine.c_str(),
+          Name.c_str(), E.Spec.name().c_str(), RefSpec.name().c_str(),
           static_cast<unsigned long long>(Ref.Cycles),
           static_cast<unsigned long long>(Ref.Retired),
-          static_cast<unsigned long long>(Ref.Hash), E.Engine.c_str(),
+          static_cast<unsigned long long>(Ref.Hash), E.Spec.name().c_str(),
           static_cast<unsigned long long>(E.Fp.Cycles),
           static_cast<unsigned long long>(E.Fp.Retired),
           static_cast<unsigned long long>(E.Fp.Hash));
@@ -317,9 +304,9 @@ runWorkload(const Options &Opt, const std::string &Name,
 
   const EngineResult *RefE = nullptr, *FastE = nullptr, *BestPar = nullptr;
   for (const EngineResult &E : W.Engines) {
-    if (E.Engine == "reference")
+    if (E.Spec.K == Kind::Reference)
       RefE = &E;
-    else if (E.Engine == "fastpath")
+    else if (E.Spec.K == Kind::FastPath)
       FastE = &E;
     else if (!BestPar || E.HostSeconds < BestPar->HostSeconds)
       BestPar = &E;
@@ -332,7 +319,8 @@ runWorkload(const Options &Opt, const std::string &Name,
   std::printf("%-24s %3u cores  %10llu cycles", Name.c_str(), W.Cores,
               static_cast<unsigned long long>(Ref.Cycles));
   for (const EngineResult &E : W.Engines)
-    std::printf("  %s %.1f kc/s", E.Engine.c_str(), E.CyclesPerSec / 1e3);
+    std::printf("  %s %.1f kc/s", E.Spec.name().c_str(),
+                E.CyclesPerSec / 1e3);
   std::printf("\n");
   std::fflush(stdout);
   return W;
@@ -688,8 +676,8 @@ void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
                  "     \"got\": {\"cycles\": %llu, \"retired\": %llu, "
                  "\"trace_hash\": \"%016llx\"},\n"
                  "     \"triage\": %s}",
-                 I ? "," : "", D.Workload.c_str(), D.Engine.c_str(),
-                 D.Threads, D.RefEngine.c_str(), D.RefThreads,
+                 I ? "," : "", D.Workload.c_str(), D.Spec.name().c_str(),
+                 D.Spec.Threads, D.RefSpec.name().c_str(), D.RefSpec.Threads,
                  static_cast<unsigned long long>(D.Ref.Cycles),
                  static_cast<unsigned long long>(D.Ref.Retired),
                  static_cast<unsigned long long>(D.Ref.Hash),
@@ -749,7 +737,7 @@ void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
                    "\"host_seconds\": %.6f, \"cycles_per_sec\": %.1f, "
                    "\"mips\": %.3f, \"peak_rss_kb\": %ld, "
                    "\"identical\": %s, \"engine_used\": \"%s\"",
-                   E.Engine.c_str(), E.HostThreads, E.HostSeconds,
+                   E.Spec.name().c_str(), E.Spec.Threads, E.HostSeconds,
                    E.CyclesPerSec, E.Mips, E.PeakRssKb,
                    E.Identical ? "true" : "false", E.EngineUsed.c_str());
       if (!E.EngineNote.empty())
@@ -840,7 +828,6 @@ bool parseThreadList(const char *Arg, std::vector<unsigned> &Out) {
 
 int main(int argc, char **argv) {
   Options Opt;
-  bool EnginesGiven = false;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--help") == 0) {
       printUsage(argv[0]);
@@ -867,7 +854,6 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (std::strcmp(argv[I], "--engines") == 0 && I + 1 < argc) {
-      EnginesGiven = true;
       Opt.RunReference = Opt.RunFastPath = Opt.RunParallel = false;
       std::string List = argv[++I];
       size_t Pos = 0;
@@ -899,7 +885,6 @@ int main(int argc, char **argv) {
       return 2;
     }
   }
-  (void)EnginesGiven;
 
   // The allocation assertion runs first (it is also a correctness run):
   // the serial engines must not allocate in steady state.
@@ -959,9 +944,9 @@ int main(int argc, char **argv) {
         continue;
       const EngineResult *T1 = nullptr, *T2 = nullptr;
       for (const EngineResult &E : W.Engines) {
-        if (E.Engine == "parallel-t1")
+        if (E.Spec == EngineSpec{EngineSpec::Kind::Parallel, 1})
           T1 = &E;
-        else if (E.Engine == "parallel-t2")
+        else if (E.Spec == EngineSpec{EngineSpec::Kind::Parallel, 2})
           T2 = &E;
       }
       if (T1 && T2 && T1->HostSeconds > 0.0 &&

@@ -8,16 +8,16 @@
 /// lbp_fleet: run a campaign of independent simulations across worker
 /// processes and emit the canonical aggregate report.
 ///
-///   lbp_fleet [options]
-///     --workload W         phases | matmul | pipeline (default phases)
-///     --asm FILE.s         assembly file instead of a workload
+///   lbp_fleet [options] [file.c | file.s | -]
+///     --workload W         phases | matmul | pipeline (default phases
+///                          when no file is given)
 ///     --cores N            machine size per run (default 4)
 ///     --runs N             queue length (default 4)
 ///     --seed-base N        run i uses fault seed N + i (default 1)
 ///     --drops/--delays/--flips/--stuck N
 ///                          injected faults per run (default 0)
-///     --threads N          host threads per worker (default 1)
-///     --engine E           reference | fast (default fast)
+///     --engine E           reference | fastpath | parallel-tN
+///                          (default fastpath; workloads/RunSpec.h)
 ///     --deadline-cycles N  deterministic per-run deadline
 ///                          (default 10000000)
 ///     --workers N          concurrent worker processes (default 4)
@@ -32,11 +32,11 @@
 ///     --inject-crash I     run I's first attempt aborts (CI smoke)
 ///     --inject-hang I      run I's first attempt hangs (CI smoke)
 ///     --cross-check LIST   run every queue entry once per engine
-///                          variant (comma list of reference | fast |
-///                          parallel-tN) and compare fingerprints
-///                          within each group; a mismatch is triaged
-///                          in-process (obs/Triage.h) and the report
-///                          gains a "divergence_triage" array
+///                          (comma list of engine specs, as --engine)
+///                          and compare fingerprints within each
+///                          group; a mismatch is triaged in-process
+///                          (obs/Triage.h) and the report gains a
+///                          "divergence_triage" array
 ///     --perturb N          arm SimConfig::PerturbForTest at cycle N on
 ///                          every run (seeded divergence for CI)
 ///     --out FILE           report destination (default stdout)
@@ -51,200 +51,114 @@
 
 #include "fleet/Fleet.h"
 
-#include "asm/Assembler.h"
 #include "obs/Triage.h"
 #include "support/StringUtils.h"
-#include "workloads/MatMul.h"
-#include "workloads/Phases.h"
-#include "workloads/Pipeline.h"
+#include "workloads/RunSpec.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <iostream>
-#include <sstream>
 
 using namespace lbp;
+using workloads::EngineSpec;
 
 namespace {
 
 struct Options {
-  std::string Workload = "phases";
-  std::string AsmFile;
-  unsigned Cores = 4;
+  workloads::RunSpec Run;
   unsigned Runs = 4;
   uint64_t SeedBase = 1;
-  unsigned Drops = 0, Delays = 0, Flips = 0, Stuck = 0;
-  unsigned Threads = 1;
-  bool FastPath = true;
+  unsigned Stuck = 0;
   uint64_t DeadlineCycles = 10000000;
   fleet::FleetConfig FC;
   std::string Out;
   bool Strict = false;
-  std::vector<std::string> CrossCheck;
+  std::vector<EngineSpec> CrossCheck;
   uint64_t Perturb = 0;
 };
-
-/// One --cross-check engine variant. FastPath/HostThreads mirror the
-/// specs lbp_triage accepts, spelled with '-' ("parallel-t4") so the
-/// variant can ride inside a run name.
-struct EngineVariant {
-  std::string Name;
-  bool FastPath = false;
-  unsigned Threads = 1;
-};
-
-bool parseEngineVariant(const std::string &Spec, EngineVariant &V) {
-  V.Name = Spec;
-  if (Spec == "reference") {
-    V.FastPath = false;
-    V.Threads = 1;
-    return true;
-  }
-  if (Spec == "fast") {
-    V.FastPath = true;
-    V.Threads = 1;
-    return true;
-  }
-  if (Spec.rfind("parallel", 0) == 0) {
-    V.FastPath = true;
-    V.Threads = 4;
-    if (Spec.size() > 8) {
-      if (Spec.compare(8, 2, "-t") != 0)
-        return false;
-      std::optional<int64_t> T = parseInteger(Spec.substr(10));
-      if (!T || *T < 2 || *T > 1024)
-        return false;
-      V.Threads = static_cast<unsigned>(*T);
-    }
-    return true;
-  }
-  return false;
-}
 
 int usage() {
   std::fprintf(
       stderr,
-      "usage: lbp_fleet [--workload phases|matmul|pipeline] [--asm F.s]\n"
+      "usage: lbp_fleet [--workload %s] [file.c|file.s|-]\n"
       "  --cores N  --runs N  --seed-base N\n"
       "  --drops N  --delays N  --flips N  --stuck N\n"
-      "  --threads N  --engine reference|fast  --deadline-cycles N\n"
+      "  --engine reference|fastpath|parallel-tN  --deadline-cycles N\n"
       "  --workers N  --max-attempts N\n"
       "  --checkpoint-interval N  --checkpoint-dir D\n"
       "  --wall-timeout-ms N  --inject-crash I  --inject-hang I\n"
-      "  --cross-check reference,fast,parallel-tN  --perturb N\n"
+      "  --cross-check ENGINE,ENGINE[,...]  --perturb N\n"
       "  --out FILE  --strict\n"
-      "See docs/ROBUSTNESS.md (\"Fleet failure taxonomy\").\n");
+      "See docs/ROBUSTNESS.md (\"Fleet failure taxonomy\").\n",
+      workloads::WorkloadNames);
   return 2;
 }
 
-bool parseArgs(int Argc, char **Argv, Options &O) {
-  auto Num = [&](int &I) -> std::optional<int64_t> {
-    if (I + 1 >= Argc)
-      return std::nullopt;
-    return parseInteger(Argv[++I]);
-  };
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
-    std::optional<int64_t> V;
-    if (A == "--workload" && I + 1 < Argc)
-      O.Workload = Argv[++I];
-    else if (A == "--asm" && I + 1 < Argc)
-      O.AsmFile = Argv[++I];
-    else if (A == "--engine" && I + 1 < Argc) {
-      std::string E = Argv[++I];
-      if (E == "reference")
-        O.FastPath = false;
-      else if (E == "fast")
-        O.FastPath = true;
-      else
-        return false;
-    } else if (A == "--cross-check" && I + 1 < Argc) {
-      std::string List = Argv[++I];
-      size_t Pos = 0;
-      while (Pos <= List.size()) {
-        size_t Comma = List.find(',', Pos);
-        O.CrossCheck.push_back(List.substr(
-            Pos, Comma == std::string::npos ? Comma : Comma - Pos));
-        if (Comma == std::string::npos)
-          break;
-        Pos = Comma + 1;
-      }
-      if (O.CrossCheck.size() < 2)
-        return false; // a cross-check needs something to compare
-    } else if (A == "--checkpoint-dir" && I + 1 < Argc)
-      O.FC.CheckpointDir = Argv[++I];
-    else if (A == "--out" && I + 1 < Argc)
-      O.Out = Argv[++I];
-    else if (A == "--strict")
-      O.Strict = true;
-    else if (A == "--cores" && (V = Num(I)))
-      O.Cores = static_cast<unsigned>(*V);
-    else if (A == "--runs" && (V = Num(I)))
-      O.Runs = static_cast<unsigned>(*V);
-    else if (A == "--seed-base" && (V = Num(I)))
-      O.SeedBase = static_cast<uint64_t>(*V);
-    else if (A == "--drops" && (V = Num(I)))
-      O.Drops = static_cast<unsigned>(*V);
-    else if (A == "--delays" && (V = Num(I)))
-      O.Delays = static_cast<unsigned>(*V);
-    else if (A == "--flips" && (V = Num(I)))
-      O.Flips = static_cast<unsigned>(*V);
-    else if (A == "--stuck" && (V = Num(I)))
-      O.Stuck = static_cast<unsigned>(*V);
-    else if (A == "--threads" && (V = Num(I)))
-      O.Threads = static_cast<unsigned>(*V);
-    else if (A == "--deadline-cycles" && (V = Num(I)))
-      O.DeadlineCycles = static_cast<uint64_t>(*V);
-    else if (A == "--perturb" && (V = Num(I)))
-      O.Perturb = static_cast<uint64_t>(*V);
-    else if (A == "--workers" && (V = Num(I)))
-      O.FC.Workers = static_cast<unsigned>(*V);
-    else if (A == "--max-attempts" && (V = Num(I)))
-      O.FC.MaxAttempts = static_cast<unsigned>(*V);
-    else if (A == "--checkpoint-interval" && (V = Num(I)))
-      O.FC.CheckpointInterval = static_cast<uint64_t>(*V);
-    else if (A == "--wall-timeout-ms" && (V = Num(I)))
-      O.FC.WallTimeoutMs = static_cast<uint64_t>(*V);
-    else if (A == "--inject-crash" && (V = Num(I)))
-      O.FC.InjectCrashRun = static_cast<int>(*V);
-    else if (A == "--inject-hang" && (V = Num(I)))
-      O.FC.InjectHangRun = static_cast<int>(*V);
-    else
+/// Reads a comma list of engine specs; a cross-check needs at least two.
+bool crossCheckValue(workloads::ArgReader &R, std::vector<EngineSpec> &Out) {
+  std::string List;
+  if (!R.value(List))
+    return false;
+  for (std::string_view Item : split(List, ',')) {
+    std::optional<EngineSpec> E = EngineSpec::parse(Item);
+    if (!E)
       return false;
+    Out.push_back(*E);
   }
-  return true;
+  return Out.size() >= 2;
 }
 
-std::string buildAsmText(const Options &O, std::string &Err) {
-  if (!O.AsmFile.empty()) {
-    std::ifstream In(O.AsmFile);
-    if (!In) {
-      Err = "cannot open '" + O.AsmFile + "'";
-      return std::string();
+bool parseArgs(int Argc, char **Argv, Options &O) {
+  workloads::ArgReader R(Argc, Argv);
+  while (R.next()) {
+    std::string_view A = R.arg();
+    auto S = O.Run.parseArg(R);
+    if (S != workloads::RunSpec::ArgStatus::NotShared) {
+      if (S == workloads::RunSpec::ArgStatus::Bad)
+        return false;
+      continue;
     }
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    return SS.str();
+    unsigned Run = 0;
+    bool Ok = true;
+    if (A == "--cross-check")
+      Ok = crossCheckValue(R, O.CrossCheck);
+    else if (A == "--checkpoint-dir")
+      Ok = R.value(O.FC.CheckpointDir);
+    else if (A == "--out")
+      Ok = R.value(O.Out);
+    else if (A == "--strict")
+      O.Strict = true;
+    else if (A == "--runs")
+      Ok = R.value(O.Runs);
+    else if (A == "--seed-base")
+      Ok = R.value(O.SeedBase);
+    else if (A == "--stuck")
+      Ok = R.value(O.Stuck);
+    else if (A == "--deadline-cycles")
+      Ok = R.value(O.DeadlineCycles);
+    else if (A == "--perturb")
+      Ok = R.value(O.Perturb);
+    else if (A == "--workers")
+      Ok = R.value(O.FC.Workers);
+    else if (A == "--max-attempts")
+      Ok = R.value(O.FC.MaxAttempts);
+    else if (A == "--checkpoint-interval")
+      Ok = R.value(O.FC.CheckpointInterval);
+    else if (A == "--wall-timeout-ms")
+      Ok = R.value(O.FC.WallTimeoutMs);
+    else if (A == "--inject-crash") {
+      Ok = R.value(Run);
+      O.FC.InjectCrashRun = static_cast<int>(Run);
+    } else if (A == "--inject-hang") {
+      Ok = R.value(Run);
+      O.FC.InjectHangRun = static_cast<int>(Run);
+    } else
+      return false;
+    if (!Ok)
+      return false;
   }
-  if (O.Workload == "phases") {
-    workloads::PhasesSpec S;
-    S.NumHarts = O.Cores * sim::HartsPerCore;
-    return workloads::buildPhasesProgram(S);
-  }
-  if (O.Workload == "matmul") {
-    workloads::MatMulSpec S;
-    S.NumHarts = O.Cores * sim::HartsPerCore;
-    S.Version = workloads::MatMulVersion::Distributed;
-    return workloads::buildMatMulProgram(S);
-  }
-  if (O.Workload == "pipeline") {
-    workloads::PipelineSpec S;
-    S.Stages = std::min(O.Cores * sim::HartsPerCore, 8u);
-    return workloads::buildPipelineProgram(S);
-  }
-  Err = "unknown workload '" + O.Workload + "'";
-  return std::string();
+  if (O.Run.Workload.empty() && O.Run.File.empty())
+    O.Run.Workload = "phases";
+  return true;
 }
 
 } // namespace
@@ -254,64 +168,35 @@ int main(int Argc, char **Argv) {
   if (!parseArgs(Argc, Argv, O))
     return usage();
 
+  // One shared read-only image; the workers inherit it copy-on-write.
+  std::vector<assembler::Program> Images(1);
+  sim::SimConfig Cfg;
   std::string Err;
-  std::string Asm = buildAsmText(O, Err);
-  if (Asm.empty()) {
+  if (!O.Run.load(Images[0], Cfg, Err)) {
     std::fprintf(stderr, "lbp_fleet: %s\n", Err.c_str());
     return 2;
   }
-  assembler::AsmResult R = assembler::assemble(Asm);
-  if (!R.succeeded()) {
-    std::fprintf(stderr, "lbp_fleet: assembly failed:\n%s\n",
-                 R.errorText().c_str());
-    return 2;
-  }
 
-  // One shared read-only image; the workers inherit it copy-on-write.
-  std::vector<assembler::Program> Images;
-  Images.push_back(std::move(R.Prog));
-
-  // The cross-check variant list; a plain campaign is the degenerate
-  // single-variant case with the --engine/--threads configuration.
-  std::vector<EngineVariant> Variants;
-  if (O.CrossCheck.empty()) {
-    EngineVariant V;
-    V.FastPath = O.FastPath;
-    V.Threads = O.Threads;
-    Variants.push_back(V);
-  } else {
-    for (const std::string &Spec : O.CrossCheck) {
-      EngineVariant V;
-      if (!parseEngineVariant(Spec, V)) {
-        std::fprintf(stderr,
-                     "lbp_fleet: bad --cross-check variant '%s' (want "
-                     "reference | fast | parallel-tN)\n",
-                     Spec.c_str());
-        return 2;
-      }
-      Variants.push_back(std::move(V));
-    }
-  }
+  // The engine list; a plain campaign is the degenerate single-engine
+  // case with the --engine configuration.
+  std::vector<EngineSpec> Variants = O.CrossCheck;
+  if (Variants.empty())
+    Variants.push_back(O.Run.Engine);
 
   // Queue order is group-major: every variant of seed i before any of
   // seed i+1, so the report reads as consecutive comparable groups.
   std::vector<fleet::RunSpec> Specs;
   for (unsigned I = 0; I != O.Runs; ++I) {
-    for (const EngineVariant &V : Variants) {
+    for (const EngineSpec &V : Variants) {
       fleet::RunSpec S;
       uint64_t Seed = O.SeedBase + I;
-      S.Name = (O.AsmFile.empty() ? O.Workload : O.AsmFile) + "-seed" +
-               std::to_string(Seed);
+      S.Name = O.Run.label() + "-seed" + std::to_string(Seed);
       if (!O.CrossCheck.empty())
-        S.Name += ":" + V.Name;
-      S.Cfg = sim::SimConfig::lbp(O.Cores);
-      S.Cfg.FastPath = V.FastPath;
-      S.Cfg.HostThreads = V.Threads;
+        S.Name.append(":").append(V.name());
+      S.Cfg = Cfg;
+      V.applyTo(S.Cfg);
       S.Cfg.PerturbForTest = O.Perturb;
       S.Cfg.Faults.Seed = Seed;
-      S.Cfg.Faults.Drops = O.Drops;
-      S.Cfg.Faults.Delays = O.Delays;
-      S.Cfg.Faults.BitFlips = O.Flips;
       S.Cfg.Faults.StuckBanks = O.Stuck;
       S.DeadlineCycles = O.DeadlineCycles;
       Specs.push_back(std::move(S));
@@ -354,8 +239,7 @@ int main(int Argc, char **Argv) {
             obs::triageDivergence(Images[0], SA, SB, TOpts);
         if (!Reports.empty())
           Reports += ",\n    ";
-        Reports += obs::triageReportToJson(
-            TR, O.AsmFile.empty() ? O.Workload : O.AsmFile);
+        Reports += obs::triageReportToJson(TR, O.Run.label());
       }
     }
     Extra = formatString("  \"divergence_triage\": [%s],\n",

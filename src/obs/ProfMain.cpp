@@ -11,13 +11,11 @@
 /// counters on, and reports.
 ///
 ///   lbp_prof [options] file.c | file.s | -
-///     --workload NAME      phases | matmul | pipeline | dma |
-///                          sensor-fusion (instead of a file)
+///     --workload NAME      phases | matmul | pipeline (instead of a file)
 ///     --cores N            machine size (default 4)
-///     --threads N          host threads (>= 2 selects the sharded
-///                          parallel engine)
-///     --engine E           reference | fast (serial engine choice;
-///                          default fast)
+///     --engine E           reference | fastpath | parallel-tN
+///                          (default fastpath; workloads/RunSpec.h)
+///     --oversubscribe      don't clamp parallel-tN to the host's cpus
 ///     --max-cycles N       cycle budget (default 100000000)
 ///     --seed N             fault-plan seed; --drops/--delays/
 ///     --drops N            --flips add that many injected faults
@@ -38,25 +36,16 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "asm/Assembler.h"
-#include "frontend/Compiler.h"
 #include "obs/Perfetto.h"
 #include "obs/Report.h"
 #include "sim/Machine.h"
 #include "support/StringUtils.h"
-#include "workloads/Dma.h"
-#include "workloads/MatMul.h"
-#include "workloads/Phases.h"
-#include "workloads/Pipeline.h"
-#include "workloads/SensorFusion.h"
+#include "workloads/RunSpec.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iostream>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 
 using namespace lbp;
@@ -64,215 +53,93 @@ using namespace lbp;
 namespace {
 
 struct Options {
-  std::string Input;
-  std::string Workload;
+  workloads::RunSpec Run;
   std::string PerfettoOut;
   std::string JsonlOut;
   std::string CountersOut;
-  unsigned Cores = 4;
-  unsigned Threads = 1;
-  bool FastPath = true;
   bool Stalls = true;
   unsigned TopN = 8;
   uint64_t MaxCycles = 100000000;
   uint64_t Seed = 0;
-  unsigned Drops = 0, Delays = 0, Flips = 0;
   bool Oversubscribe = false;
   bool Digests = false;          ///< Print the interval-digest ring.
-  uint64_t DigestInterval = 0;   ///< Override stride; 0 keeps default.
+  std::optional<uint64_t> DigestInterval; ///< Stride override; 0 = off.
 };
 
 int usage() {
   std::fprintf(
       stderr,
       "usage: lbp_prof [options] file.c|file.s|-\n"
-      "       lbp_prof [options] --workload "
-      "phases|matmul|pipeline|dma|sensor-fusion\n"
-      "  --cores N  --threads N  --oversubscribe  --engine reference|fast\n"
+      "       lbp_prof [options] --workload %s\n"
+      "  --cores N  --engine reference|fastpath|parallel-tN  "
+      "--oversubscribe\n"
       "  --max-cycles N  --seed N  --drops N  --delays N  --flips N\n"
       "  --no-stalls  --top N\n"
       "  --perfetto OUT.json  --jsonl OUT.jsonl  --counters OUT.json\n"
       "  --digests  --digest-interval N\n"
-      "See docs/OBSERVABILITY.md.\n");
+      "See docs/OBSERVABILITY.md.\n",
+      workloads::WorkloadNames);
   return 2;
-}
-
-bool endsWith(const std::string &S, const char *Suffix) {
-  size_t N = std::strlen(Suffix);
-  return S.size() >= N && S.compare(S.size() - N, N, Suffix) == 0;
-}
-
-/// Program text for the chosen input; empty + message on failure.
-std::string loadAsmText(const Options &Opts, std::string &Err) {
-  if (!Opts.Workload.empty()) {
-    if (Opts.Workload == "phases") {
-      workloads::PhasesSpec S;
-      S.NumHarts = Opts.Cores * sim::HartsPerCore;
-      return workloads::buildPhasesProgram(S);
-    }
-    if (Opts.Workload == "matmul")
-      return workloads::buildMatMulProgram(workloads::MatMulSpec::paper(
-          Opts.Cores * sim::HartsPerCore,
-          workloads::MatMulVersion::Distributed));
-    if (Opts.Workload == "pipeline")
-      return workloads::buildPipelineProgram({});
-    if (Opts.Workload == "dma")
-      return workloads::buildDmaStreamProgram({});
-    if (Opts.Workload == "sensor-fusion")
-      return workloads::buildSensorFusionProgram({});
-    Err = "unknown workload '" + Opts.Workload + "'";
-    return std::string();
-  }
-
-  std::string Text;
-  if (Opts.Input == "-") {
-    std::ostringstream SS;
-    SS << std::cin.rdbuf();
-    Text = SS.str();
-  } else {
-    std::ifstream In(Opts.Input);
-    if (!In) {
-      Err = "cannot open '" + Opts.Input + "'";
-      return std::string();
-    }
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    Text = SS.str();
-  }
-  if (endsWith(Opts.Input, ".s") || endsWith(Opts.Input, ".asm"))
-    return Text;
-  // Det-C goes through the frontend.
-  std::string FrontErr;
-  std::string Asm = frontend::compileDetCToAsm(Text, FrontErr);
-  if (Asm.empty())
-    Err = FrontErr.empty() ? "compilation produced no code" : FrontErr;
-  return Asm;
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
   Options Opts;
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
-    auto NextU64 = [&](uint64_t &Out) {
-      if (I + 1 >= Argc)
-        return false;
-      char *End = nullptr;
-      unsigned long long V = std::strtoull(Argv[++I], &End, 0);
-      if (!End || *End)
-        return false;
-      Out = V;
-      return true;
-    };
-    auto NextUnsigned = [&](unsigned &Out) {
-      uint64_t V;
-      if (!NextU64(V) || V > 1u << 20)
-        return false;
-      Out = static_cast<unsigned>(V);
-      return true;
-    };
-    auto NextString = [&](std::string &Out) {
-      if (I + 1 >= Argc)
-        return false;
-      Out = Argv[++I];
-      return true;
-    };
-    if (A == "--workload") {
-      if (!NextString(Opts.Workload))
-        return usage();
-    } else if (A == "--cores") {
-      if (!NextUnsigned(Opts.Cores) || Opts.Cores == 0)
-        return usage();
-    } else if (A == "--threads") {
-      if (!NextUnsigned(Opts.Threads) || Opts.Threads == 0)
-        return usage();
-    } else if (A == "--engine") {
-      std::string E;
-      if (!NextString(E))
-        return usage();
-      if (E == "reference")
-        Opts.FastPath = false;
-      else if (E == "fast")
-        Opts.FastPath = true;
-      else
-        return usage();
-    } else if (A == "--max-cycles") {
-      if (!NextU64(Opts.MaxCycles))
-        return usage();
+  workloads::ArgReader R(Argc, Argv);
+  while (R.next()) {
+    std::string_view A = R.arg();
+    auto S = Opts.Run.parseArg(R);
+    if (S == workloads::RunSpec::ArgStatus::Bad)
+      return usage();
+    if (S == workloads::RunSpec::ArgStatus::Taken)
+      continue;
+    bool Ok = true;
+    if (A == "--max-cycles") {
+      Ok = R.value(Opts.MaxCycles);
     } else if (A == "--seed") {
-      if (!NextU64(Opts.Seed))
-        return usage();
-    } else if (A == "--drops") {
-      if (!NextUnsigned(Opts.Drops))
-        return usage();
-    } else if (A == "--delays") {
-      if (!NextUnsigned(Opts.Delays))
-        return usage();
-    } else if (A == "--flips") {
-      if (!NextUnsigned(Opts.Flips))
-        return usage();
+      Ok = R.value(Opts.Seed);
     } else if (A == "--oversubscribe") {
       Opts.Oversubscribe = true;
     } else if (A == "--no-stalls") {
       Opts.Stalls = false;
     } else if (A == "--top") {
-      if (!NextUnsigned(Opts.TopN))
-        return usage();
+      Ok = R.value(Opts.TopN);
     } else if (A == "--perfetto") {
-      if (!NextString(Opts.PerfettoOut))
-        return usage();
+      Ok = R.value(Opts.PerfettoOut);
     } else if (A == "--jsonl") {
-      if (!NextString(Opts.JsonlOut))
-        return usage();
+      Ok = R.value(Opts.JsonlOut);
     } else if (A == "--counters") {
-      if (!NextString(Opts.CountersOut))
-        return usage();
+      Ok = R.value(Opts.CountersOut);
     } else if (A == "--digests") {
       Opts.Digests = true;
     } else if (A == "--digest-interval") {
-      if (!NextU64(Opts.DigestInterval))
-        return usage();
+      Ok = R.value(Opts.DigestInterval.emplace());
     } else if (A == "--help" || A == "-h") {
       usage();
       return 0;
-    } else if (A.size() > 1 && A[0] == '-' && A != "-") {
-      std::fprintf(stderr, "lbp_prof: unknown option '%s'\n", A.c_str());
-      return usage();
-    } else if (Opts.Input.empty()) {
-      Opts.Input = A;
     } else {
-      return usage();
+      std::fprintf(stderr, "lbp_prof: unknown option '%s'\n",
+                   std::string(A).c_str());
+      Ok = false;
     }
+    if (!Ok)
+      return usage();
   }
-  if (Opts.Input.empty() == Opts.Workload.empty())
-    return usage(); // exactly one program source
 
+  assembler::Program Prog;
+  sim::SimConfig Cfg;
   std::string Err;
-  std::string Asm = loadAsmText(Opts, Err);
-  if (Asm.empty()) {
+  if (!Opts.Run.load(Prog, Cfg, Err)) {
     std::fprintf(stderr, "lbp_prof: %s\n", Err.c_str());
     return 2;
   }
-  assembler::AsmResult AR = assembler::assemble(Asm);
-  if (!AR.succeeded()) {
-    std::fprintf(stderr, "lbp_prof: assembly failed:\n%s",
-                 AR.errorText().c_str());
-    return 2;
-  }
-
-  sim::SimConfig Cfg = sim::SimConfig::lbp(Opts.Cores);
-  Cfg.FastPath = Opts.FastPath;
-  Cfg.HostThreads = Opts.Threads;
   Cfg.OversubscribeHost = Opts.Oversubscribe;
   Cfg.CollectCounters = true;
   Cfg.CollectStallStats = Opts.Stalls;
-  if (Opts.DigestInterval != 0)
-    Cfg.DigestInterval = Opts.DigestInterval;
+  if (Opts.DigestInterval)
+    Cfg.DigestInterval = *Opts.DigestInterval;
   Cfg.Faults.Seed = Opts.Seed;
-  Cfg.Faults.Drops = Opts.Drops;
-  Cfg.Faults.Delays = Opts.Delays;
-  Cfg.Faults.BitFlips = Opts.Flips;
 
   sim::Machine M(Cfg);
 
@@ -303,7 +170,7 @@ int main(int Argc, char **Argv) {
     M.addTraceSink(Jsonl.get());
   }
 
-  M.load(AR.Prog);
+  M.load(Prog);
   sim::RunStatus St = M.run(Opts.MaxCycles);
   if (Perfetto)
     Perfetto->finish(M.cycles());

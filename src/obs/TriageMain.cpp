@@ -13,12 +13,11 @@
 /// lbp-triage-report-v1 JSON document.
 ///
 ///   lbp_triage [options] file.c | file.s | -
-///     --workload NAME      phases | matmul | pipeline | dma |
-///                          sensor-fusion (instead of a file)
+///     --workload NAME      phases | matmul | pipeline (instead of a file)
 ///     --cores N            machine size (default 4)
-///     --side-a SPEC        engine spec: reference | fast |
-///     --side-b SPEC        parallel[:threads]   (defaults:
-///                          side-a reference, side-b fast)
+///     --side-a SPEC        engine spec: reference | fastpath |
+///     --side-b SPEC        parallel-tN   (workloads/RunSpec.h; defaults:
+///                          side-a reference, side-b fastpath)
 ///     --seed-a N           per-side fault-plan seed (with --drops /
 ///     --seed-b N           --delays / --flips event counts)
 ///     --drops N  --delays N  --flips N
@@ -36,37 +35,24 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "asm/Assembler.h"
-#include "frontend/Compiler.h"
 #include "obs/Triage.h"
-#include "support/StringUtils.h"
-#include "workloads/Dma.h"
-#include "workloads/MatMul.h"
-#include "workloads/Phases.h"
-#include "workloads/Pipeline.h"
-#include "workloads/SensorFusion.h"
+#include "workloads/RunSpec.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 
 using namespace lbp;
+using workloads::EngineSpec;
 
 namespace {
 
 struct Options {
-  std::string Input;
-  std::string Workload;
+  workloads::RunSpec Run;
   std::string Out;
-  std::string SideA = "reference";
-  std::string SideB = "fast";
-  unsigned Cores = 4;
+  EngineSpec SideA{EngineSpec::Kind::Reference};
+  EngineSpec SideB{EngineSpec::Kind::FastPath};
   uint64_t SeedA = 0, SeedB = 0;
-  unsigned Drops = 0, Delays = 0, Flips = 0;
   uint64_t Perturb = 0;
   uint64_t DigestInterval = 4096;
   unsigned Context = 8;
@@ -78,224 +64,86 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: lbp_triage [options] file.c|file.s|-\n"
-      "       lbp_triage [options] --workload "
-      "phases|matmul|pipeline|dma|sensor-fusion\n"
+      "       lbp_triage [options] --workload %s\n"
       "  --cores N  --side-a SPEC  --side-b SPEC   (SPEC = reference | "
-      "fast | parallel[:threads])\n"
+      "fastpath | parallel-tN)\n"
       "  --seed-a N  --seed-b N  --drops N  --delays N  --flips N\n"
       "  --perturb N  --digest-interval N  --context K  --max-cycles N\n"
       "  --oversubscribe  --out FILE\n"
-      "See docs/OBSERVABILITY.md, \"Divergence triage\".\n");
+      "See docs/OBSERVABILITY.md, \"Divergence triage\".\n",
+      workloads::WorkloadNames);
   return 2;
-}
-
-bool endsWith(const std::string &S, const char *Suffix) {
-  size_t N = std::strlen(Suffix);
-  return S.size() >= N && S.compare(S.size() - N, N, Suffix) == 0;
-}
-
-std::string loadAsmText(const Options &Opts, std::string &Err) {
-  if (!Opts.Workload.empty()) {
-    if (Opts.Workload == "phases") {
-      workloads::PhasesSpec S;
-      S.NumHarts = Opts.Cores * sim::HartsPerCore;
-      return workloads::buildPhasesProgram(S);
-    }
-    if (Opts.Workload == "matmul")
-      return workloads::buildMatMulProgram(workloads::MatMulSpec::paper(
-          Opts.Cores * sim::HartsPerCore,
-          workloads::MatMulVersion::Distributed));
-    if (Opts.Workload == "pipeline")
-      return workloads::buildPipelineProgram({});
-    if (Opts.Workload == "dma")
-      return workloads::buildDmaStreamProgram({});
-    if (Opts.Workload == "sensor-fusion")
-      return workloads::buildSensorFusionProgram({});
-    Err = "unknown workload '" + Opts.Workload + "'";
-    return std::string();
-  }
-
-  std::string Text;
-  if (Opts.Input == "-") {
-    std::ostringstream SS;
-    SS << std::cin.rdbuf();
-    Text = SS.str();
-  } else {
-    std::ifstream In(Opts.Input);
-    if (!In) {
-      Err = "cannot open '" + Opts.Input + "'";
-      return std::string();
-    }
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    Text = SS.str();
-  }
-  if (endsWith(Opts.Input, ".s") || endsWith(Opts.Input, ".asm"))
-    return Text;
-  std::string FrontErr;
-  std::string Asm = frontend::compileDetCToAsm(Text, FrontErr);
-  if (Asm.empty())
-    Err = FrontErr.empty() ? "compilation produced no code" : FrontErr;
-  return Asm;
-}
-
-/// Parses an engine spec ("reference", "fast", "parallel", or
-/// "parallel:N") into \p Cfg; false on a malformed spec.
-bool applyEngineSpec(const std::string &Spec, sim::SimConfig &Cfg) {
-  std::string Engine = Spec;
-  unsigned Threads = 1;
-  size_t Colon = Spec.find(':');
-  if (Colon != std::string::npos) {
-    Engine = Spec.substr(0, Colon);
-    std::optional<int64_t> T = parseInteger(Spec.substr(Colon + 1));
-    if (!T || *T < 1 || *T > 1024)
-      return false;
-    Threads = static_cast<unsigned>(*T);
-  }
-  if (Engine == "reference")
-    Cfg.FastPath = false;
-  else if (Engine == "fast")
-    Cfg.FastPath = true;
-  else if (Engine == "parallel") {
-    Cfg.FastPath = true;
-    if (Colon == std::string::npos)
-      Threads = 4;
-  } else
-    return false;
-  if ((Engine == "parallel") != (Threads > 1))
-    return false; // "parallel:1" and "fast:4" would silently lie
-  Cfg.HostThreads = Threads;
-  return true;
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
   Options Opts;
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
-    auto NextU64 = [&](uint64_t &Out) {
-      if (I + 1 >= Argc)
-        return false;
-      char *End = nullptr;
-      unsigned long long V = std::strtoull(Argv[++I], &End, 0);
-      if (!End || *End)
-        return false;
-      Out = V;
-      return true;
-    };
-    auto NextUnsigned = [&](unsigned &Out) {
-      uint64_t V;
-      if (!NextU64(V) || V > 1u << 20)
-        return false;
-      Out = static_cast<unsigned>(V);
-      return true;
-    };
-    auto NextString = [&](std::string &Out) {
-      if (I + 1 >= Argc)
-        return false;
-      Out = Argv[++I];
-      return true;
-    };
-    if (A == "--workload") {
-      if (!NextString(Opts.Workload))
-        return usage();
-    } else if (A == "--cores") {
-      if (!NextUnsigned(Opts.Cores) || Opts.Cores == 0)
-        return usage();
-    } else if (A == "--side-a") {
-      if (!NextString(Opts.SideA))
-        return usage();
+  workloads::ArgReader R(Argc, Argv);
+  while (R.next()) {
+    std::string_view A = R.arg();
+    auto S = Opts.Run.parseArg(R, /*WithEngine=*/false);
+    if (S == workloads::RunSpec::ArgStatus::Bad)
+      return usage();
+    if (S == workloads::RunSpec::ArgStatus::Taken)
+      continue;
+    bool Ok = true;
+    if (A == "--side-a") {
+      Ok = R.value(Opts.SideA);
     } else if (A == "--side-b") {
-      if (!NextString(Opts.SideB))
-        return usage();
+      Ok = R.value(Opts.SideB);
     } else if (A == "--seed-a") {
-      if (!NextU64(Opts.SeedA))
-        return usage();
+      Ok = R.value(Opts.SeedA);
     } else if (A == "--seed-b") {
-      if (!NextU64(Opts.SeedB))
-        return usage();
-    } else if (A == "--drops") {
-      if (!NextUnsigned(Opts.Drops))
-        return usage();
-    } else if (A == "--delays") {
-      if (!NextUnsigned(Opts.Delays))
-        return usage();
-    } else if (A == "--flips") {
-      if (!NextUnsigned(Opts.Flips))
-        return usage();
+      Ok = R.value(Opts.SeedB);
     } else if (A == "--perturb") {
-      if (!NextU64(Opts.Perturb))
-        return usage();
+      Ok = R.value(Opts.Perturb);
     } else if (A == "--digest-interval") {
-      if (!NextU64(Opts.DigestInterval) || Opts.DigestInterval == 0)
-        return usage();
+      Ok = R.value(Opts.DigestInterval) && Opts.DigestInterval != 0;
     } else if (A == "--context") {
-      if (!NextUnsigned(Opts.Context))
-        return usage();
+      Ok = R.value(Opts.Context);
     } else if (A == "--max-cycles") {
-      if (!NextU64(Opts.MaxCycles))
-        return usage();
+      Ok = R.value(Opts.MaxCycles);
     } else if (A == "--oversubscribe") {
       Opts.Oversubscribe = true;
     } else if (A == "--out") {
-      if (!NextString(Opts.Out))
-        return usage();
+      Ok = R.value(Opts.Out);
     } else if (A == "--help" || A == "-h") {
       usage();
       return 0;
-    } else if (A.size() > 1 && A[0] == '-' && A != "-") {
-      std::fprintf(stderr, "lbp_triage: unknown option '%s'\n", A.c_str());
-      return usage();
-    } else if (Opts.Input.empty()) {
-      Opts.Input = A;
     } else {
-      return usage();
+      std::fprintf(stderr, "lbp_triage: unknown option '%s'\n",
+                   std::string(A).c_str());
+      Ok = false;
     }
+    if (!Ok)
+      return usage();
   }
-  if (Opts.Input.empty() == Opts.Workload.empty())
-    return usage(); // exactly one program source
 
+  assembler::Program Prog;
+  sim::SimConfig Base;
   std::string Err;
-  std::string Asm = loadAsmText(Opts, Err);
-  if (Asm.empty()) {
+  if (!Opts.Run.load(Prog, Base, Err)) {
     std::fprintf(stderr, "lbp_triage: %s\n", Err.c_str());
     return 2;
   }
-  assembler::AsmResult AR = assembler::assemble(Asm);
-  if (!AR.succeeded()) {
-    std::fprintf(stderr, "lbp_triage: assembly failed:\n%s",
-                 AR.errorText().c_str());
-    return 2;
-  }
-
-  sim::SimConfig Base = sim::SimConfig::lbp(Opts.Cores);
   Base.OversubscribeHost = Opts.Oversubscribe;
   Base.DigestInterval = Opts.DigestInterval;
   Base.PerturbForTest = Opts.Perturb;
-  Base.Faults.Drops = Opts.Drops;
-  Base.Faults.Delays = Opts.Delays;
-  Base.Faults.BitFlips = Opts.Flips;
 
-  obs::TriageRunSpec A{Opts.SideA, Base}, B{Opts.SideB, Base};
+  obs::TriageRunSpec A{Opts.SideA.name(), Base}, B{Opts.SideB.name(), Base};
+  Opts.SideA.applyTo(A.Cfg);
+  Opts.SideB.applyTo(B.Cfg);
   A.Cfg.Faults.Seed = Opts.SeedA;
   B.Cfg.Faults.Seed = Opts.SeedB;
-  if (!applyEngineSpec(Opts.SideA, A.Cfg) ||
-      !applyEngineSpec(Opts.SideB, B.Cfg)) {
-    std::fprintf(stderr,
-                 "lbp_triage: bad engine spec (want reference | fast | "
-                 "parallel[:threads])\n");
-    return usage();
-  }
 
   obs::TriageOptions TOpts;
   TOpts.ContextEvents = Opts.Context;
   TOpts.MaxCycles = Opts.MaxCycles;
-  obs::TriageResult R = obs::triageDivergence(AR.Prog, A, B, TOpts);
+  obs::TriageResult TR = obs::triageDivergence(Prog, A, B, TOpts);
 
-  std::string Label =
-      !Opts.Workload.empty() ? Opts.Workload : Opts.Input;
-  std::string Report = obs::triageReportToJson(R, Label) + "\n";
+  std::string Report =
+      obs::triageReportToJson(TR, Opts.Run.label()) + "\n";
   if (!Opts.Out.empty()) {
     std::ofstream OutFile(Opts.Out);
     if (!OutFile) {
@@ -308,9 +156,9 @@ int main(int Argc, char **Argv) {
     std::fputs(Report.c_str(), stdout);
   }
 
-  if (!R.Ran) {
-    std::fprintf(stderr, "lbp_triage: %s\n", R.Error.c_str());
+  if (!TR.Ran) {
+    std::fprintf(stderr, "lbp_triage: %s\n", TR.Error.c_str());
     return 3;
   }
-  return R.Diverged ? 1 : 0;
+  return TR.Diverged ? 1 : 0;
 }

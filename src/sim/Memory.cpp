@@ -7,7 +7,7 @@
 #include "sim/Memory.h"
 #include "isa/AddressMap.h"
 #include "support/Compiler.h"
-#include <cstdio>
+#include <cassert>
 
 using namespace lbp;
 using namespace lbp::sim;
@@ -57,10 +57,7 @@ uint32_t MemorySystem::fetchWord(uint32_t Addr) const {
 
 static uint32_t readBytes(const std::vector<uint8_t> &Bank, uint32_t Offset,
                           unsigned Width) {
-  if (Offset + Width > Bank.size()) {
-    std::fprintf(stderr, "bank read out of range: offset %u width %u size %zu\n", Offset, Width, Bank.size());
-    std::abort();
-  }
+  assert(Offset + Width <= Bank.size() && "bank access out of range");
   uint32_t Value = 0;
   for (unsigned B = 0; B != Width; ++B)
     Value |= static_cast<uint32_t>(Bank[Offset + B]) << (8 * B);
@@ -76,7 +73,7 @@ static void writeBytes(std::vector<uint8_t> &Bank, uint32_t Offset,
 
 uint32_t MemorySystem::readLocal(unsigned Core, uint32_t Offset,
                                  unsigned Width) const {
-  if (Core >= LocalBanks.size()) { std::fprintf(stderr, "readLocal core %u of %zu\n", Core, LocalBanks.size()); std::abort(); }
+  assert(Core < LocalBanks.size() && "no such local bank");
   return readBytes(LocalBanks[Core], Offset, Width);
 }
 
@@ -87,7 +84,7 @@ void MemorySystem::writeLocal(unsigned Core, uint32_t Offset, uint32_t Value,
 
 uint32_t MemorySystem::readGlobal(unsigned Bank, uint32_t Offset,
                                   unsigned Width) const {
-  if (Bank >= GlobalBanks.size()) { std::fprintf(stderr, "readGlobal bank %u of %zu\n", Bank, GlobalBanks.size()); std::abort(); }
+  assert(Bank < GlobalBanks.size() && "no such global bank");
   return readBytes(GlobalBanks[Bank], Offset, Width);
 }
 

@@ -125,8 +125,10 @@ std::vector<TraceDigest> Trace::digestEntries() const {
   std::vector<TraceDigest> Out;
   Out.reserve(Ring.size());
   // Before wraparound the ring is in order; after, the oldest retained
-  // entry sits at the next overwrite position.
-  size_t Start = Ring.size() < RingCap ? 0 : DigestTotal % RingCap;
+  // entry sits at the next overwrite position. With digesting off the
+  // ring is empty and RingCap is 0.
+  size_t Start =
+      Ring.size() < RingCap || Ring.empty() ? 0 : DigestTotal % RingCap;
   for (size_t I = 0; I != Ring.size(); ++I)
     Out.push_back(Ring[(Start + I) % Ring.size()]);
   return Out;

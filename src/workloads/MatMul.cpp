@@ -19,6 +19,7 @@ using namespace lbp::workloads;
 namespace {
 
 unsigned log2Exact(unsigned V) {
+  assert(V != 0 && (V & (V - 1)) == 0 && "not a power of two");
   unsigned L = 0;
   while ((1u << L) != V)
     ++L;

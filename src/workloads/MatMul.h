@@ -27,6 +27,7 @@
 #ifndef LBP_WORKLOADS_MATMUL_H
 #define LBP_WORKLOADS_MATMUL_H
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 
@@ -57,6 +58,8 @@ struct MatMulSpec {
   /// matrices exactly fill the h/4 banks and the contiguous (base)
   /// layout naturally spans all of them.
   static MatMulSpec paper(unsigned NumHarts, MatMulVersion V) {
+    assert(NumHarts != 0 && (NumHarts & (NumHarts - 1)) == 0 &&
+           "NumHarts must be a power of two");
     MatMulSpec S;
     S.NumHarts = NumHarts;
     S.Version = V;

@@ -328,4 +328,20 @@ TEST(Obs, CounterJsonAndReportAreWellFormed) {
   EXPECT_NE(Report.find("x_par"), std::string::npos);
 }
 
+/// DigestInterval 0 turns digesting off (lbp_prof --digest-interval 0):
+/// no ring, no entries, and no "digests" section in the snapshot.
+TEST(Obs, DigestsOffLeaveAnEmptyRing) {
+  workloads::PhasesSpec Spec;
+  SimConfig Cfg = SimConfig::lbp(4);
+  Cfg.CollectCounters = true;
+  Cfg.DigestInterval = 0;
+  Machine M(Cfg);
+  ASSERT_EQ(runOn(M, workloads::buildPhasesProgram(Spec)),
+            RunStatus::Exited);
+  EXPECT_EQ(M.trace().digestRingCap(), 0u);
+  EXPECT_EQ(M.trace().digestCount(), 0u);
+  EXPECT_TRUE(M.trace().digestEntries().empty());
+  EXPECT_EQ(obs::countersToJson(M).find("\"digests\""), std::string::npos);
+}
+
 } // namespace

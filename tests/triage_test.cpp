@@ -235,7 +235,7 @@ TEST(Triage, FindsSeededFirstDivergentEvent) {
   Base.DigestInterval = 512;
   Base.PerturbForTest = 2000;
 
-  obs::TriageRunSpec A{"reference", Base}, B{"fast", Base};
+  obs::TriageRunSpec A{"reference", Base}, B{"fastpath", Base};
   A.Cfg.FastPath = false;
   B.Cfg.FastPath = true;
 
@@ -279,7 +279,7 @@ TEST(Triage, ParallelThreadSweepDivergenceIsTriaged) {
 
   // The perturb payload records the *requested* thread count, so a
   // t1-vs-t4 sweep diverges regardless of the host's core count.
-  obs::TriageRunSpec A{"fast-t1", Base}, B{"parallel-t4", Base};
+  obs::TriageRunSpec A{"fastpath", Base}, B{"parallel-t4", Base};
   A.Cfg.FastPath = true;
   A.Cfg.HostThreads = 1;
   B.Cfg.FastPath = true;
@@ -299,7 +299,7 @@ TEST(Triage, CleanPairReportsNoDivergence) {
   assembler::Program Prog = assembleOrDie(phasesSrc());
 
   sim::SimConfig Base = SimConfig::lbp(4);
-  obs::TriageRunSpec A{"reference", Base}, B{"fast", Base};
+  obs::TriageRunSpec A{"reference", Base}, B{"fastpath", Base};
   A.Cfg.FastPath = false;
   B.Cfg.FastPath = true;
 

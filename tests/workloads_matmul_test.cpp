@@ -49,10 +49,15 @@ void expectCorrectZ(Machine &M, const MatMulSpec &Spec) {
   }
 }
 
+// gtest has no printer for Param, so each test name carries its raw
+// bytes. The padding is spelled out and zeroed so that those bytes, and
+// hence the names, are the same in every process.
 struct Param {
   unsigned NumHarts;
   MatMulVersion V;
+  uint8_t Pad[3] = {};
 };
+static_assert(sizeof(Param) == 8, "Param must have no implicit padding");
 
 class MatMulAll : public ::testing::TestWithParam<Param> {};
 
