@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "isa/Instr.h"
-#include "support/Compiler.h"
 
 #include <array>
 
@@ -157,19 +156,13 @@ constexpr std::array<InstrInfo, NumOps> buildTable() {
   return T;
 }
 
-constexpr std::array<InstrInfo, NumOps> InfoTable = buildTable();
-
 } // namespace
 
-const InstrInfo &isa::instrInfo(Opcode Op) {
-  unsigned Index = static_cast<unsigned>(Op);
-  assert(Index < NumOps && "opcode out of range");
-  return InfoTable[Index];
-}
+constexpr std::array<InstrInfo, NumOps> isa::detail::InfoTable = buildTable();
 
 std::optional<Opcode> isa::opcodeByMnemonic(std::string_view Mnemonic) {
   for (unsigned I = 1; I != NumOps; ++I)
-    if (InfoTable[I].Mnemonic == Mnemonic)
+    if (detail::InfoTable[I].Mnemonic == Mnemonic)
       return static_cast<Opcode>(I);
   return std::nullopt;
 }

@@ -14,6 +14,8 @@
 #ifndef LBP_ISA_INSTR_H
 #define LBP_ISA_INSTR_H
 
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -135,8 +137,19 @@ struct InstrInfo {
   bool ReadsRs2;
 };
 
-/// Returns the static properties of \p Op.
-const InstrInfo &instrInfo(Opcode Op);
+namespace detail {
+/// The static properties of every opcode, indexed by opcode (Instr.cpp).
+extern const std::array<InstrInfo, static_cast<unsigned>(Opcode::NumOpcodes)>
+    InfoTable;
+} // namespace detail
+
+/// Returns the static properties of \p Op. Inline: the simulator's
+/// decode, issue and writeback stages query it per instruction.
+inline const InstrInfo &instrInfo(Opcode Op) {
+  unsigned Index = static_cast<unsigned>(Op);
+  assert(Index < detail::InfoTable.size() && "opcode out of range");
+  return detail::InfoTable[Index];
+}
 
 /// Looks an opcode up by mnemonic ("addi", "p_fc", ...).
 std::optional<Opcode> opcodeByMnemonic(std::string_view Mnemonic);

@@ -112,13 +112,13 @@ struct SimConfig {
 
   /// Fast simulation path (docs/PERFORMANCE.md): quiescence
   /// fast-forward over empty cycles, per-core sleep/wake scheduling so
-  /// the pipeline stages only run on cores with in-flight work, and a
-  /// pre-decoded text segment. The event stream is bit-identical with
-  /// the flag on or off — same traceHash(), cycles() and RunStatus —
-  /// which the differential tests enforce; the reference path survives
-  /// as the oracle. Stall-cause classification (CollectStallStats)
-  /// needs every core-cycle observed, so it forces the reference
-  /// scheduling loop regardless of this flag.
+  /// the pipeline stages only run on cores with in-flight work. The
+  /// event stream is bit-identical with the flag on or off — same
+  /// traceHash(), cycles() and RunStatus — which the differential tests
+  /// enforce; the reference path survives as the oracle. Stall-cause
+  /// classification (CollectStallStats) needs every core-cycle
+  /// observed, so it forces the reference scheduling loop regardless of
+  /// this flag.
   bool FastPath = true;
 
   /// Record formatted trace events (hashing is always on).

@@ -271,26 +271,7 @@ void Machine::load(const assembler::Program &Prog) {
     }
   }
 
-  // Decode the text segment once (FastPath): the code banks are
-  // read-only after load — stores into the code region fault and
-  // debugWriteWord asserts — so the per-fetch decode in stageDecode can
-  // become a table lookup keyed by word address. Built from the same
-  // fetchWord the fetch stage uses, so table and fallback agree bit for
-  // bit (including the trailing partial word and data words in text,
-  // which decode as invalid and fault exactly as on the slow path).
-  if (FastRun) {
-    uint32_t Words = (Mem.codeSize() + 3) / 4;
-    DecodedText.resize(Words);
-    for (uint32_t W = 0; W != Words; ++W) {
-      isa::Instr I = decode(Mem.fetchWord(W * 4));
-      // Bake in stageDecode's p_lwcv operand fixup (sp-relative
-      // continuation-frame access).
-      if (I.Op == Opcode::P_LWCV)
-        I.Rs1 = RegSP;
-      DecodedText[W] = I;
-    }
-  }
-
+  predecodeText();
   buildWindowClass();
 
   // Hart 0 of core 0 boots at the entry point holding the token, with
@@ -307,6 +288,28 @@ void Machine::load(const assembler::Program &Prog) {
   Tr.event(Cycle, EventKind::HartStart, 0, H0.Pc);
 }
 
+/// Decodes one code word as the rename stage sees it: p_lwcv addresses
+/// the hart's own continuation frame through sp.
+static isa::Instr decodeTextWord(uint32_t Word) {
+  isa::Instr I = decode(Word);
+  if (I.Op == Opcode::P_LWCV)
+    I.Rs1 = RegSP;
+  return I;
+}
+
+void Machine::predecodeText() {
+  // The code banks are read-only after load — stores into the code
+  // region fault and debugWriteWord asserts — so every engine's
+  // per-fetch decode is a table lookup keyed by word address. Built
+  // from the same fetchWord the fetch stage uses, so table and live
+  // decode agree bit for bit (including the trailing partial word and
+  // data words in text, which decode as invalid and fault the same way).
+  uint32_t Words = (Mem.codeSize() + 3) / 4;
+  DecodedText.resize(Words);
+  for (uint32_t W = 0; W != Words; ++W)
+    DecodedText[W] = decodeTextWord(Mem.fetchWord(W * 4));
+}
+
 void Machine::buildWindowClass() {
   // Hazard-lookahead table for the parallel engine's adaptive window
   // planner (see Machine.h WinClass). Hazard-class instructions are the
@@ -318,14 +321,13 @@ void Machine::buildWindowClass() {
   // read by its window planner).
   if (Cfg.HostThreads <= 1)
     return;
-  uint32_t Words = (Mem.codeSize() + 3) / 4;
+  uint32_t Words = static_cast<uint32_t>(DecodedText.size());
   auto Hazard = [](const isa::Instr &I) {
     return !I.isValid() || isGateOp(I) || I.Op == Opcode::P_SWRE;
   };
-  auto At = [&](uint32_t W) { return decode(Mem.fetchWord(W * 4)); };
   WinClass.assign(Words, 0);
   for (uint32_t W = 0; W != Words; ++W) {
-    isa::Instr I = At(W);
+    const isa::Instr &I = DecodedText[W];
     if (Hazard(I))
       continue; // 0
     uint32_t Next;
@@ -341,7 +343,7 @@ void Machine::buildWindowClass() {
       continue;
     }
     bool NextBad = (I.Op == Opcode::JAL && (W * 4 + I.Imm) % 4 != 0) ||
-                   Next >= Words || Hazard(At(Next));
+                   Next >= Words || Hazard(DecodedText[Next]);
     WinClass[W] = NextBad ? 1 : 2;
   }
 }
@@ -1557,19 +1559,13 @@ bool Machine::stageDecode(unsigned CoreId) {
       continue;
 
     C.DecodeRR = (HIdx + 1) % HartsPerCore;
-    // Fast path: the text segment was decoded once at load (with the
-    // p_lwcv fixup baked in); fall back to live decode for unaligned
-    // pcs (p_jalr only clears bit 0) and fetches beyond the table.
-    isa::Instr I;
+    // The text segment was decoded once at load; fall back to live
+    // decode for unaligned pcs (register jumps: jalr clears only bit 0,
+    // p_jalr and p_ret not even that) and fetches beyond the table.
     uint32_t WordIdx = H.IbPc >> 2;
-    if (FastRun && (H.IbPc & 3u) == 0 && WordIdx < DecodedText.size()) {
-      I = DecodedText[WordIdx];
-    } else {
-      I = decode(H.IbWord);
-      // p_lwcv addresses the hart's own continuation frame through sp.
-      if (I.Op == Opcode::P_LWCV)
-        I.Rs1 = RegSP;
-    }
+    const isa::Instr I = (H.IbPc & 3u) == 0 && WordIdx < DecodedText.size()
+                             ? DecodedText[WordIdx]
+                             : decodeTextWord(H.IbWord);
     if (!I.isValid()) {
       fault(formatString("invalid instruction 0x%08x at pc 0x%x (hart "
                          "%u)",
@@ -1577,32 +1573,35 @@ bool Machine::stageDecode(unsigned CoreId) {
       return true;
     }
 
+    // Fill the slot field by field, in place. Every field is written —
+    // the stale ones too (SrcVal of a waiting source, DoneCycle,
+    // RenameSeq of a non-writer) — because snapshots serialize every
+    // slot, so a slot must read exactly as a freshly constructed one.
     unsigned Idx = H.robIndex(H.RobCount);
     RobEntry &E = H.Rob[Idx];
-    E = RobEntry();
     E.I = I;
     E.Pc = H.IbPc;
+    E.State = RobEntry::St::Waiting;
+    E.DoneCycle = 0;
 
     const InstrInfo &Info = instrInfo(I.Op);
     bool Reads[2] = {Info.ReadsRs1 || I.Op == Opcode::P_LWCV,
                      Info.ReadsRs2};
     uint8_t SrcReg[2] = {I.Rs1, I.Rs2};
     for (unsigned S = 0; S != 2; ++S) {
-      if (!Reads[S] || SrcReg[S] == 0) {
-        E.SrcReady[S] = true;
-        E.SrcVal[S] = 0;
-        continue;
+      int8_t Producer = -1;
+      uint32_t Val = 0;
+      if (Reads[S] && SrcReg[S] != 0) {
+        Producer = H.RegProducer[SrcReg[S]];
+        if (Producer < 0)
+          Val = H.Regs[SrcReg[S]];
       }
-      int8_t Producer = H.RegProducer[SrcReg[S]];
-      if (Producer < 0) {
-        E.SrcReady[S] = true;
-        E.SrcVal[S] = H.Regs[SrcReg[S]];
-      } else {
-        E.SrcReady[S] = false;
-        E.SrcProducer[S] = Producer;
-      }
+      E.SrcReady[S] = Producer < 0;
+      E.SrcVal[S] = Val;
+      E.SrcProducer[S] = Producer;
     }
 
+    E.RenameSeq = 0;
     if (I.writesReg()) {
       H.RegProducer[I.Rd] = static_cast<int8_t>(Idx);
       E.RenameSeq = H.NextRenameSeq++;

@@ -327,8 +327,10 @@ private:
   void fault(std::string Msg);
   /// The livelock diagnosis: one wait-state line per non-free hart.
   std::string livelockReport() const;
-  /// (Re)builds WinClass from the loaded code image (load and snapshot
-  /// restore).
+  /// (Re)builds DecodedText from the loaded code image (load and
+  /// snapshot restore).
+  void predecodeText();
+  /// (Re)builds WinClass from DecodedText (load and snapshot restore).
   void buildWindowClass();
 
   // -- Parallel engine (ParallelEngine.cpp; docs/PERFORMANCE.md) --------
@@ -541,13 +543,14 @@ private:
   /// Effective fast-path switch for this run: SimConfig::FastPath minus
   /// the modes that need every core-cycle observed (stall-cause stats).
   bool FastRun = false;
-  /// Text segment decoded once at load() (FastPath): the instruction at
-  /// word address W is DecodedText[W]. Valid because LBP code banks are
-  /// read-only after load — stores into the code region fault.
+  /// Text segment decoded once at load() (every engine): the
+  /// instruction at word address W is DecodedText[W], with the p_lwcv
+  /// operand fixup applied. Valid because LBP code banks are read-only
+  /// after load — stores into the code region fault.
   std::vector<isa::Instr> DecodedText;
 
   /// Per-text-word hazard lookahead for the parallel engine's window
-  /// planner, built at load() alongside DecodedText. WinClass[W] is the
+  /// planner, built at load() from DecodedText. WinClass[W] is the
   /// number of hazard-free decodes guaranteed down the straight-line
   /// path starting at word W: 0 when the instruction itself is
   /// hazard-class (a gate op or p_swre — anything whose issue or send

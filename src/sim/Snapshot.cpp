@@ -16,8 +16,6 @@
 
 #include "sim/Snapshot.h"
 
-#include "isa/Encoding.h"
-#include "isa/Reg.h"
 #include "sim/Interp.h"
 #include "sim/Machine.h"
 #include "support/EventHash.h"
@@ -722,23 +720,10 @@ struct SnapshotAccess {
       return false;
     }
 
-    // Derived state. The pre-decoded text cache mirrors the code image
-    // (load()'s decode loop, including the P_LWCV operand fixup); the
-    // reference engine never reads it, so it is cleared there.
-    if (M.FastRun) {
-      uint32_t Words = (M.Mem.codeSize() + 3) / 4;
-      M.DecodedText.resize(Words);
-      for (uint32_t Word = 0; Word != Words; ++Word) {
-        isa::Instr I = isa::decode(M.Mem.fetchWord(Word * 4));
-        if (I.Op == isa::Opcode::P_LWCV)
-          I.Rs1 = isa::RegSP;
-        M.DecodedText[Word] = I;
-      }
-    } else {
-      M.DecodedText.clear();
-    }
-    // The window planner's hazard-lookahead table mirrors the restored
-    // code image (no-op when the parallel engine can never run).
+    // Derived state: the pre-decoded text and the window planner's
+    // hazard-lookahead table mirror the restored code image, as after
+    // load().
+    M.predecodeText();
     M.buildWindowClass();
     return true;
   }

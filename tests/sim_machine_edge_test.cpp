@@ -7,7 +7,8 @@
 // Corner cases of the machine: the WAW-through-memory scenario that
 // renaming must absorb, p_fc stalling until a hart frees, nested
 // parallel teams, the direct p_jal fork, result-slot backlog ordering,
-// alignment faults, ROB pressure, and the recorded text trace.
+// alignment faults, ROB pressure, the recorded text trace, and fetches
+// of words that are not instructions on both serial engines.
 //
 //===----------------------------------------------------------------------===//
 
@@ -422,6 +423,63 @@ TEST(MachineEdge, LivelockIsDistinguishedFromMaxCycles) {
   EXPECT_EQ(M.run(1000000), RunStatus::Livelock);
   EXPECT_LT(M.cycles(), 1000000u);
   EXPECT_FALSE(M.faultMessage().empty());
+}
+
+// Both serial engines decode from the text table built at load; the
+// live decode is left for unaligned pcs and pcs past the table. Each
+// way of reaching a word that is not an instruction must fault the
+// same way on both engines: same message, fingerprint and counts.
+void expectSameFaultOnSerialEngines(const std::string &Src,
+                                    const std::string &Expected) {
+  assembler::AsmResult R = assembler::assemble(Src);
+  ASSERT_TRUE(R.succeeded()) << R.errorText();
+  SimConfig RefCfg = SimConfig::lbp(1);
+  RefCfg.FastPath = false;
+  Machine Ref(RefCfg);
+  Machine Fast(SimConfig::lbp(1));
+  Ref.load(R.Prog);
+  Fast.load(R.Prog);
+  ASSERT_EQ(Ref.run(100000), RunStatus::Fault);
+  ASSERT_EQ(Fast.run(100000), RunStatus::Fault);
+  EXPECT_STREQ(Ref.engineName(), "reference");
+  EXPECT_STREQ(Fast.engineName(), "fastpath");
+  EXPECT_EQ(Ref.faultMessage(), Expected);
+  EXPECT_EQ(Fast.faultMessage(), Expected);
+  EXPECT_EQ(Ref.traceHash(), Fast.traceHash());
+  EXPECT_EQ(Ref.cycles(), Fast.cycles());
+  EXPECT_EQ(Ref.retired(), Fast.retired());
+}
+
+TEST(MachineEdge, PJalrToAnOddPcFaultsOnBothSerialEngines) {
+  // A sequential-return p_ret (p_jalr x0, ra, t0 with t0 naming this
+  // hart) jumps to ra as is: an odd ra lands between table words. The
+  // word at the aligned-down address is a valid nop, so reading the
+  // table there instead of decoding the fetched bytes would not fault.
+  expectSameFaultOnSerialEngines(R"(
+main:
+    p_set t0
+    la ra, pad
+    addi ra, ra, 1
+    p_ret
+pad:
+    .word 0x00000013
+    .word 0
+)",
+                                 "invalid instruction 0x00000000 at pc 0x15 "
+                                 "(hart 0)");
+}
+
+TEST(MachineEdge, FetchPastTheEndOfTextFaultsOnBothSerialEngines) {
+  expectSameFaultOnSerialEngines("main:\n  li a0, 1\n",
+                                 "invalid instruction 0x00000000 at pc 0x4 "
+                                 "(hart 0)");
+}
+
+TEST(MachineEdge, DataWordInTextFaultsOnBothSerialEngines) {
+  expectSameFaultOnSerialEngines("main:\n  li a0, 1\n  .word 0xffffffff\n"
+                                 "  li ra, 0\n  li t0, -1\n  p_ret\n",
+                                 "invalid instruction 0xffffffff at pc 0x4 "
+                                 "(hart 0)");
 }
 
 } // namespace

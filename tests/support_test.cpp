@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace lbp;
 
 namespace {
@@ -85,6 +87,55 @@ TEST(EventHash, OrderSensitive) {
   B.addEvent(3, 4);
   B.addEvent(1, 2);
   EXPECT_NE(A.value(), B.value());
+}
+
+/// Textbook 64-bit FNV-1a over a word's eight bytes, low byte first:
+/// the reference EventHash::addWord must reproduce exactly.
+uint64_t fnv1aWords(const std::vector<uint64_t> &Words) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (uint64_t W : Words) {
+    for (unsigned I = 0; I != 8; ++I) {
+      H ^= (W >> (8 * I)) & 0xff;
+      H *= 0x100000001b3ULL;
+    }
+  }
+  return H;
+}
+
+TEST(EventHash, MatchesByteSerialFnv1a) {
+  std::vector<uint64_t> Words = {0,
+                                 1,
+                                 0xff,
+                                 0x100,
+                                 0x8000000000000000ULL,
+                                 UINT64_MAX};
+  // Every significant-byte count 0..8, with both a low and a high top
+  // byte, plus seeded random words of every width.
+  for (unsigned Bytes = 1; Bytes != 8; ++Bytes) {
+    Words.push_back(1ULL << (8 * Bytes));
+    Words.push_back((1ULL << (8 * Bytes)) - 1);
+  }
+  SplitMix64 Rng(0x5eed);
+  for (unsigned I = 0; I != 1000; ++I) {
+    uint64_t W = Rng.next();
+    Words.push_back(W >> Rng.nextBelow(64));
+  }
+
+  // Each word alone, from the initial state...
+  for (uint64_t W : Words) {
+    EventHash H;
+    H.addWord(W);
+    EXPECT_EQ(H.value(), fnv1aWords({W})) << std::hex << W;
+  }
+  // ...and the whole sequence chained, through addWord and addEvent.
+  EventHash ByWord, ByEvent;
+  for (uint64_t W : Words)
+    ByWord.addWord(W);
+  EXPECT_EQ(ByWord.value(), fnv1aWords(Words));
+  Words.resize(Words.size() / 4 * 4);
+  for (size_t I = 0; I != Words.size(); I += 4)
+    ByEvent.addEvent(Words[I], Words[I + 1], Words[I + 2], Words[I + 3]);
+  EXPECT_EQ(ByEvent.value(), fnv1aWords(Words));
 }
 
 TEST(EventHash, EqualStreamsHashEqual) {
