@@ -853,7 +853,11 @@ void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
              ++K)
           std::fprintf(F, "%s%llu", K ? ", " : "",
                        static_cast<unsigned long long>(S.WindowHist[K]));
-        std::fprintf(F, "]}");
+        std::fprintf(F, "], \"clips\": {");
+        for (unsigned R = 0; R != S.NumClipReasons; ++R)
+          std::fprintf(F, "%s\"%s\": %llu", R ? ", " : "", S.clipName(R),
+                       static_cast<unsigned long long>(S.Clips[R]));
+        std::fprintf(F, "}}");
       }
       std::fprintf(F, "}%s\n", J + 1 == W.Engines.size() ? "" : ",");
     }

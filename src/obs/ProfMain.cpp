@@ -233,7 +233,10 @@ int main(int Argc, char **Argv) {
           << ", \"window_hist\": [";
       for (size_t K = 0; K != sizeof(S.WindowHist) / sizeof(uint64_t); ++K)
         Out << (K ? ", " : "") << S.WindowHist[K];
-      Out << "]}";
+      Out << "], \"clips\": {";
+      for (unsigned R = 0; R != S.NumClipReasons; ++R)
+        Out << (R ? ", " : "") << '"' << S.clipName(R) << "\": " << S.Clips[R];
+      Out << "}}";
     }
     Out << "},\n  \"counters\": " << obs::countersToJson(M) << "}\n";
   }

@@ -181,9 +181,9 @@ struct SimConfig {
   /// 0 means "adaptive": the engine computes a per-epoch lookahead
   /// window from in-flight state (docs/PERFORMANCE.md "Adaptive
   /// multi-cycle epochs") and merges only at window boundaries. Any
-  /// nonzero value forces the legacy fixed cadence of 1 (per-cycle
-  /// merges) — merging less often than the in-flight state allows
-  /// would be unsound; merging more often is always correct.
+  /// nonzero value forces one-cycle windows (a merge every cycle) —
+  /// merging less often than the in-flight state allows would be
+  /// unsound; merging more often is always correct.
   uint64_t EpochOverride = 0;
 
   /// By default the parallel engine clamps its worker count to the

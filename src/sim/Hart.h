@@ -123,8 +123,8 @@ struct alignas(64) Hart {
   /// value backward at issue) and p_ret (sends the token / join at
   /// commit). The parallel engine sums these into Machine::SendCount —
   /// while any is in flight a multi-cycle window could see a cross-shard
-  /// arrival land inside itself, so the engine stays on per-cycle
-  /// epochs. Decremented when the send happens (p_swre issue, p_ret
+  /// arrival land inside itself, so the engine stays on one-cycle
+  /// windows. Decremented when the send happens (p_swre issue, p_ret
   /// commit) and settled by freeHart. Not architectural state.
   uint8_t PendingSendOps = 0;
 

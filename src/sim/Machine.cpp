@@ -22,7 +22,7 @@ using namespace lbp;
 using namespace lbp::sim;
 using namespace lbp::isa;
 
-thread_local ShardBuf *lbp::sim::TlStage = nullptr;
+constinit thread_local ShardBuf *lbp::sim::TlStage = nullptr;
 
 uint64_t Machine::now() const {
   if (const ShardBuf *S = TlStage)
@@ -56,7 +56,7 @@ void Machine::emit(EventKind K, uint64_t A, uint64_t B) {
 
 void Machine::stageOrSchedule(uint64_t At, const Delivery &D) {
   if (ShardBuf *S = TlStage) {
-    if (S->WindowEnd != 0 && At <= S->WindowEnd) {
+    if (At <= S->WindowEnd) {
       // The arrival lands inside the open multi-cycle window. The
       // window planner guaranteed every in-window source targets its
       // own shard (only local memory responses get here: BankAccess on
@@ -1624,7 +1624,7 @@ bool Machine::stageDecode(unsigned CoreId) {
     // Send-class ops (p_swre, p_ret) arm the multi-cycle window block
     // the same way: until the send is performed (p_swre issue / p_ret
     // commit) a cross-shard arrival could land inside a window, so the
-    // parallel engine stays on per-cycle epochs while any is in flight.
+    // parallel engine stays on one-cycle windows while any is in flight.
     if (I.Op == Opcode::P_SWRE ||
         (I.Op == Opcode::P_JALR && I.Rd == 0)) {
       ++H.PendingSendOps;

@@ -232,13 +232,33 @@ public:
     uint64_t EpochsMerged = 0;  ///< Barrier+merge rounds executed.
     uint64_t WindowCycles = 0;  ///< Cycles advanced inside multi-cycle
                                 ///< windows.
-    uint64_t GatedCycles = 0;   ///< Cycles run serially (fork-class gate
-                                ///< or the sparse-work heuristic).
+    uint64_t GatedCycles = 0;   ///< Serial cycles run because a
+                                ///< fork-class gate op was pending.
     uint64_t SkippedCycles = 0; ///< Cycles skipped by quiescence
                                 ///< fast-forward.
     /// Epochs by window length in cycles: index W counts the merges
-    /// whose window spanned W cycles (index 0 = serial/gated rounds).
+    /// whose window spanned W cycles (index 0 = serial cycles).
     uint64_t WindowHist[9] = {0};
+    /// Why an epoch came out shorter than the planner's bound (the
+    /// latency-derived WindowMax): every such epoch is tallied once,
+    /// under the last bound that shortened it, so the first eight
+    /// tallies sum to the short epochs. ClipSerial counts how many of
+    /// them ran as serial cycles (it equals WindowHist[0]).
+    enum ClipReason : uint8_t {
+      ClipBudget,   ///< The run's MaxCycles budget.
+      ClipSweep,    ///< The next checker sweep boundary.
+      ClipLivelock, ///< The cycle the livelock guard could fire.
+      ClipOverflow, ///< A far-future (overflow-heap) arrival.
+      ClipHazard,   ///< A gate op or p_swre in a hart's front end.
+      ClipDue,      ///< A cross-shard bank response or an I/O access due.
+      ClipWorth,    ///< Near-idle machine: a serial cycle is cheaper.
+      ClipGate,     ///< A pending gate or send op, or a fault plan.
+      ClipSerial,   ///< Of the above, the epochs run as serial cycles.
+      NumClipReasons
+    };
+    uint64_t Clips[NumClipReasons] = {0};
+    /// JSON key of clip tally \p R ("budget", "sweep", ...).
+    static const char *clipName(unsigned R);
     uint64_t Rebalances = 0;    ///< Shard-partition recomputations.
     uint64_t ShardNanos = 0;    ///< Wall time inside parallel phases.
     uint64_t MergeNanos = 0;    ///< Wall time inside epoch merges.
@@ -334,9 +354,9 @@ private:
   void buildWindowClass();
 
   // -- Parallel engine (ParallelEngine.cpp; docs/PERFORMANCE.md) --------
-  // The sharded engine runs the delivery phase and the stage phase of a
-  // cycle on worker threads, one whole shard (contiguous core range)
-  // per claim. Side effects with cross-shard or global order — trace
+  // The sharded engine runs each epoch's window on one host thread per
+  // shard (contiguous core range): deliveries, then the five stages,
+  // cycle by cycle. Side effects with cross-shard or global order — trace
   // events, schedule() calls, interconnect reservations, checker
   // counters — are captured in per-shard staging buffers through the
   // hooks below (no-ops on the serial engines, where TlStage is null)
@@ -487,7 +507,7 @@ private:
   /// In-flight send-class ops (sum of Hart::PendingSendOps): p_swre
   /// before its issue, p_ret before its commit. While nonzero, a
   /// multi-cycle window could see a cross-shard arrival land inside
-  /// itself, so the parallel engine stays on per-cycle epochs.
+  /// itself, so the parallel engine stays on one-cycle windows.
   uint64_t SendCount = 0;
   // Dynamic-oracle memory log (CollectMemLog; see memLog()).
   std::vector<MemAccess> MemLog;

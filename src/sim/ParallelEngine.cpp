@@ -6,24 +6,27 @@
 ///
 /// \file
 /// The third engine (after the reference loop and the fast path): the
-/// core line is split into contiguous shards simulated by host worker
-/// threads, with all globally ordered side effects staged per shard and
-/// replayed at the epoch merge in the serial loop's canonical order
-/// (cycle, delivery index / core, program order). The trace hash, cycle
-/// count, retired count, RunStatus, machine checks and fault-injection
-/// behavior are bit-identical for every thread count and every shard
-/// partition. See docs/PERFORMANCE.md ("Parallel engine").
+/// core line is split into one contiguous shard per host thread, with
+/// all globally ordered side effects staged per shard and replayed at
+/// the epoch merge in the serial loop's canonical order (cycle, delivery
+/// index / core, program order). The trace hash, cycle count, retired
+/// count, RunStatus, machine checks and fault-injection behavior are
+/// bit-identical for every thread count and every shard partition. See
+/// docs/PERFORMANCE.md ("Parallel engine").
 ///
-/// Epochs are adaptive and multi-cycle (planWindow): when the delivery
-/// wheel and the per-hart front-end scan show no cross-shard traffic
-/// possible inside a lookahead window, every shard runs the whole
-/// window between two barriers, and the merge walks the window cycle by
-/// cycle. When the window degenerates to one cycle the engine falls
-/// back to the legacy per-cycle two-phase cadence (deliveries barrier,
-/// stages barrier), which handles gates, sends, fault plans and
-/// I/O-dense stretches.
+/// Every epoch is one window between two barriers (planWindow): each
+/// shard applies its own deliveries and runs its cores' stages cycle by
+/// cycle, and the merge walks the window cycle by cycle. When the
+/// delivery wheel and the per-hart front-end scan show no cross-shard
+/// traffic possible inside a lookahead window the window spans several
+/// cycles; otherwise it spans one. The cycles a window cannot carry — a
+/// pending fork gate, an I/O or far-future arrival due next, a near-idle
+/// machine — run on the main thread exactly as the reference loop runs
+/// them.
 ///
-/// The core->shard partition is itself adaptive: every
+/// Shard S is always run by thread S (shard 0 by the main thread), so a
+/// core's hart state stays on one host cpu for the whole run. The
+/// core->shard partition is adaptive: every
 /// SimConfig::ShardRebalanceInterval cycles the engine recomputes the
 /// contiguous partition from per-core retire tallies. The tallies are
 /// simulated state, so the partition sequence is a pure function of the
@@ -64,6 +67,8 @@ inline uint64_t nowNanos() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+using ClipReason = Machine::EngineStats::ClipReason;
 } // namespace
 
 namespace lbp {
@@ -72,18 +77,15 @@ namespace sim {
 struct ParEngine {
   Machine &M;
   unsigned NumShards = 1;
-  unsigned NumWorkers = 0; // spawned threads; the main thread also claims
+  unsigned NumWorkers = 0; // spawned threads; the main thread runs shard 0
   /// Sound multi-cycle window bound from the latency table (see
-  /// planWindow); 1 disables windowing.
+  /// planWindow); 1 disables multi-cycle windows.
   unsigned WindowMax = 1;
 
   std::vector<ShardBuf> Bufs;
   std::vector<uint16_t> CoreShard; // core id -> owning shard
-  std::vector<std::vector<uint32_t>> ShardDue; // shard -> due indices
-  std::vector<int32_t> DueOwner; // due index -> shard (-1: serial/devices)
-  std::vector<uint32_t> Cursor;  // per-shard per-cycle merge cursor
 
-  // Multi-cycle window state (valid between runWindow and its merge).
+  // Window state (valid between runWindow and its merge).
   uint64_t WinBase = 0;
   unsigned WinLen = 0;
   /// Canonical delivery order per window offset: one shard id per
@@ -106,30 +108,21 @@ struct ParEngine {
   // construction (the TSan job in CI holds it to that).
   std::atomic<uint32_t> Phase{0};
   std::atomic<uint32_t> Arrived{0};
-  std::atomic<uint32_t> Claim{0};
   std::atomic<bool> Quit{false};
-  uint8_t PhaseKind = 0; // 0: deliveries, 1: stages, 2: window
   std::vector<std::thread> Threads;
 
   explicit ParEngine(Machine &Mach);
   ~ParEngine();
 
-  void workerLoop();
-  void claimShards();
-  void runPhase(uint8_t Kind);
-  void prepPerCycle();
-  void shardDeliveries(unsigned S);
-  void shardStages(unsigned S);
+  void workerLoop(unsigned S);
+  void runShards();
   void shardWindow(unsigned S);
-  void classifyDue();
-  int32_t windowShardOf(const Delivery &D) const;
-  unsigned planWindow(uint64_t Budget, bool Sweeps) const;
+  unsigned serverCore(const Delivery &D) const;
+  unsigned planWindow(uint64_t Budget, bool Sweeps, ClipReason &Why) const;
   bool runWindow(unsigned W);
   void mergeWindow();
   void applyOp(unsigned S, StagedOp &Op);
   void replayRange(unsigned S, ShardBuf::Range R);
-  void mergeDeliveries();
-  void mergeStages();
   bool foldDeltas();
   void setPartition();
   void maybeRebalance();
@@ -139,14 +132,9 @@ struct ParEngine {
 } // namespace lbp
 
 ParEngine::ParEngine(Machine &Mach) : M(Mach) {
-  const unsigned T = M.effectiveHostThreads();
   const unsigned N = M.Cfg.NumCores;
-  // More shards than threads so idle workers can steal whole un-started
-  // shards; the staging is keyed by shard, never by worker, so the
-  // claim order cannot affect any result.
-  NumShards = std::min(N, 4 * T);
-  if (NumShards == 0)
-    NumShards = 1;
+  // One shard per host thread, owned by that thread for the whole run.
+  NumShards = std::max(1u, std::min(N, M.effectiveHostThreads()));
   Bufs.resize(NumShards);
   CoreShard.resize(N);
 
@@ -173,11 +161,6 @@ ParEngine::ParEngine(Machine &Mach) : M(Mach) {
     Bufs[S].CoreRanges.reserve(Bufs[S].CoreEnd - Bufs[S].CoreBegin);
     Bufs[S].WinDue.resize(MaxEpochWindow + 1);
   }
-  ShardDue.resize(NumShards);
-  for (std::vector<uint32_t> &V : ShardDue)
-    V.reserve(32);
-  DueOwner.reserve(64);
-  Cursor.assign(NumShards, 0);
   DueOrder.resize(MaxEpochWindow + 1);
   DueCursor.assign(NumShards, 0);
   CoreCursor.assign(NumShards, 0);
@@ -205,12 +188,12 @@ ParEngine::ParEngine(Machine &Mach) : M(Mach) {
   WindowMax = static_cast<unsigned>(
       std::max<uint64_t>(1, std::min<uint64_t>(Wm, MaxEpochWindow)));
   if (M.Cfg.EpochOverride != 0)
-    WindowMax = 1; // forced legacy per-cycle cadence
+    WindowMax = 1; // forced one-cycle windows
 
-  NumWorkers = T - 1;
+  NumWorkers = NumShards - 1;
   Threads.reserve(NumWorkers);
-  for (unsigned I = 0; I != NumWorkers; ++I)
-    Threads.emplace_back([this] { workerLoop(); });
+  for (unsigned S = 1; S != NumShards; ++S)
+    Threads.emplace_back([this, S] { workerLoop(S); });
 }
 
 ParEngine::~ParEngine() {
@@ -267,7 +250,7 @@ void ParEngine::maybeRebalance() {
   ++M.EStats.Rebalances;
 }
 
-void ParEngine::workerLoop() {
+void ParEngine::workerLoop(unsigned S) {
   uint32_t Seen = 0;
   for (;;) {
     uint32_t P;
@@ -277,221 +260,95 @@ void ParEngine::workerLoop() {
     Seen = P;
     if (Quit.load(std::memory_order_relaxed))
       return;
-    claimShards();
+    shardWindow(S);
     Arrived.fetch_add(1, std::memory_order_release);
   }
 }
 
-void ParEngine::claimShards() {
-  for (;;) {
-    uint32_t S = Claim.fetch_add(1, std::memory_order_relaxed);
-    if (S >= NumShards)
-      return;
-    if (PhaseKind == 0)
-      shardDeliveries(S);
-    else if (PhaseKind == 1)
-      shardStages(S);
-    else
-      shardWindow(S);
-  }
-}
-
-void ParEngine::runPhase(uint8_t Kind) {
-  PhaseKind = Kind;
-  Claim.store(0, std::memory_order_relaxed);
+void ParEngine::runShards() {
   Arrived.store(0, std::memory_order_relaxed);
   Phase.fetch_add(1, std::memory_order_release);
-  claimShards(); // the main thread works too
+  shardWindow(0); // the main thread owns shard 0
   unsigned Backoff = 0;
   while (Arrived.load(std::memory_order_acquire) != NumWorkers)
     spinWait(Backoff);
 }
 
-void ParEngine::prepPerCycle() {
-  for (ShardBuf &B : Bufs) {
-    B.clearEpoch(); // leaves WindowEnd == 0: per-cycle mode
-    B.Now = M.Cycle;
-  }
-}
-
 //===----------------------------------------------------------------------===//
-// Legacy per-cycle phases
+// Window planning
 //===----------------------------------------------------------------------===//
 
-void ParEngine::classifyDue() {
-  const std::vector<Delivery> &Due = M.DueBuf;
-  for (std::vector<uint32_t> &V : ShardDue)
-    V.clear();
-  DueOwner.clear();
-  DueOwner.resize(Due.size());
-  for (uint32_t I = 0; I != Due.size(); ++I) {
-    const Delivery &D = Due[I];
-    int32_t Owner;
-    if (D.K == Delivery::Kind::IoAccess) {
-      // Devices are global objects; their accesses run at the merge.
-      Owner = -1;
-    } else if (D.K == Delivery::Kind::BankAccess) {
-      // Applied at the serving bank: owned by the core whose local
-      // scratchpad (D.Value) or global bank it touches, not by the
-      // requesting hart (whose state a BankAccess never mutates).
-      unsigned Core =
-          isa::isLocalAddr(D.Addr)
-              ? D.Value
-              : (D.Addr - isa::GlobalBase) >> M.Cfg.GlobalBankSizeLog2;
-      Owner = CoreShard[Core];
-    } else {
-      Owner = CoreShard[D.HartId / HartsPerCore];
-    }
-    DueOwner[I] = Owner;
-    if (Owner >= 0)
-      ShardDue[Owner].push_back(I);
-  }
+unsigned ParEngine::serverCore(const Delivery &D) const {
+  // A BankAccess is applied at the serving bank: the core whose local
+  // scratchpad (D.Value) or global bank it touches, not the requesting
+  // hart (whose state a BankAccess never mutates). Every other kind
+  // mutates only the target hart's core.
+  if (D.K != Delivery::Kind::BankAccess)
+    return D.HartId / HartsPerCore;
+  return isa::isLocalAddr(D.Addr)
+             ? D.Value
+             : (D.Addr - isa::GlobalBase) >> M.Cfg.GlobalBankSizeLog2;
 }
 
-void ParEngine::shardDeliveries(unsigned S) {
-  ShardBuf &B = Bufs[S];
-  TlStage = &B;
-  for (uint32_t Idx : ShardDue[S]) {
-    B.beginUnit();
-    M.deliver(M.DueBuf[Idx]);
-    // The serial loop checks Halted after every delivery.
-    if (B.Ops.size() > B.UnitBegin)
-      B.Ops.back().Check = true;
-    B.endDueUnit(B.Now);
-    if (B.Halted)
-      break;
+unsigned ParEngine::planWindow(uint64_t Budget, bool Sweeps,
+                               ClipReason &Why) const {
+  // A decoded fork-class gate op reads cross-core state when it issues:
+  // the whole cycle runs in reference order. Sound because issue
+  // precedes decode, so an op decoded in cycle T issues at T+1 at the
+  // earliest — after the window that decoded it has been merged.
+  if (M.GateCount != 0) {
+    Why = ClipReason::ClipGate;
+    return 0;
   }
-  TlStage = nullptr;
-}
-
-void ParEngine::shardStages(unsigned S) {
-  ShardBuf &B = Bufs[S];
-  // Serial halt checkpoints sit after the commit, issue, decode and
-  // fetch stages; mark the last op staged by the finishing stage so the
-  // replay stops exactly where the reference loop would.
-  auto FlagCheck = [&B] {
-    if (B.Ops.size() > B.UnitBegin)
-      B.Ops.back().Check = true;
-  };
-  TlStage = &B;
-  const uint64_t Now = B.Now;
-  for (unsigned CoreId = B.CoreBegin; CoreId != B.CoreEnd; ++CoreId) {
-    Core &C = M.Cores[CoreId];
-    B.beginUnit();
-    if (M.FastRun && Now < M.CoreWake[CoreId]) {
-      B.endCoreUnit(Now); // empty unit keeps the merge cursors aligned
-      continue;
-    }
-    bool CoreActed = M.stageCommit(CoreId);
-    FlagCheck();
-    if (B.Halted) {
-      B.endCoreUnit(Now);
-      break;
-    }
-    CoreActed |= M.stageWriteback(CoreId);
-    CoreActed |= M.stageIssue(CoreId);
-    FlagCheck();
-    if (B.Halted) {
-      B.endCoreUnit(Now);
-      break;
-    }
-    CoreActed |= M.stageDecode(CoreId);
-    FlagCheck();
-    if (B.Halted) {
-      B.endCoreUnit(Now);
-      break;
-    }
-    CoreActed |= M.stageFetch(CoreId);
-    FlagCheck();
-    if (B.Halted) {
-      B.endCoreUnit(Now);
-      break;
-    }
-    if (M.FastRun) {
-      if (CoreActed) {
-        M.CoreWake[CoreId] = Now;
-        B.Acted = true;
-      } else {
-        M.CoreWake[CoreId] = M.coreWakeCycle(C, Now);
-      }
-    }
-    B.endCoreUnit(Now);
-  }
-  TlStage = nullptr;
-}
-
-//===----------------------------------------------------------------------===//
-// Adaptive multi-cycle windows
-//===----------------------------------------------------------------------===//
-
-int32_t ParEngine::windowShardOf(const Delivery &D) const {
-  switch (D.K) {
-  case Delivery::Kind::IoAccess:
-    // Devices are global objects; an in-window I/O access would need
-    // the serial merge — clip instead.
-    return -1;
-  case Delivery::Kind::BankAccess: {
-    // Applied at the serving bank, but its response (RbFill/MemAck at
-    // D.RespCycle) may land back inside the window, where the worker
-    // consumes it locally — sound only when the requester's harts are
-    // on the same shard as the bank.
-    unsigned Server =
-        isa::isLocalAddr(D.Addr)
-            ? D.Value
-            : (D.Addr - isa::GlobalBase) >> M.Cfg.GlobalBankSizeLog2;
-    unsigned Requester = D.HartId / HartsPerCore;
-    if (CoreShard[Server] != CoreShard[Requester])
-      return -1;
-    return CoreShard[Server];
-  }
-  default:
-    // Start/token/join/rb/ack/slot messages mutate only the target
-    // hart's core.
-    return CoreShard[D.HartId / HartsPerCore];
-  }
-}
-
-unsigned ParEngine::planWindow(uint64_t Budget, bool Sweeps) const {
   const uint64_t C0 = M.Cycle;
   uint64_t W = WindowMax;
-  if (W > Budget)
-    W = Budget;
+  auto Clip = [&W, &Why](uint64_t Bound, ClipReason R) {
+    if (Bound < W) {
+      W = Bound;
+      Why = R;
+    }
+  };
+
+  // Multi-cycle windows need an empty cross-shard in-flight set: no
+  // decoded send ops (a p_swre issuing in-window could land a delivery
+  // inside it) and no fault plan (its triggers key on the serial
+  // schedule cycle, which only a one-cycle window replays exactly).
+  if (M.SendCount != 0 || M.FPlan.enabled())
+    Clip(1, ClipReason::ClipGate);
+  Clip(Budget, ClipReason::ClipBudget);
 
   // A checker sweep may only land on the window's last cycle (the main
   // loop runs it right after the merge, exactly where the serial loop
   // would).
-  if (Sweeps) {
-    uint64_t Next = (C0 / M.Cfg.CheckInterval + 1) * M.Cfg.CheckInterval;
-    if (Next - C0 < W)
-      W = Next - C0;
-  }
+  if (Sweeps)
+    Clip((C0 / M.Cfg.CheckInterval + 1) * M.Cfg.CheckInterval - C0,
+         ClipReason::ClipSweep);
 
   // The serial loop tests the livelock guard after every cycle; never
   // run past the cycle where it could fire. (The test at C0 already
   // passed, so FireAt > C0.)
-  if (M.Cfg.ProgressGuard < UINT64_MAX - M.LastProgress) {
-    uint64_t FireAt = M.LastProgress + M.Cfg.ProgressGuard + 1;
-    if (FireAt - C0 < W)
-      W = FireAt - C0;
-  }
+  if (M.Cfg.ProgressGuard < UINT64_MAX - M.LastProgress)
+    Clip(M.LastProgress + M.Cfg.ProgressGuard + 1 - C0,
+         ClipReason::ClipLivelock);
 
-  // The window seeds its deliveries from the wheel only; clip before
-  // any far-future (overflow-heap) arrival.
-  if (!M.Overflow.empty()) {
-    uint64_t At = M.Overflow.front().At; // > C0: C0's dues already ran
-    if (At - C0 - 1 < W)
-      W = At - C0 - 1;
-  }
-  if (W <= 1)
-    return static_cast<unsigned>(W);
+  // The window seeds its deliveries from the wheel only; stop before
+  // any far-future (overflow-heap) arrival. One due next cycle makes
+  // this a serial cycle.
+  if (!M.Overflow.empty()) // front().At > C0: C0's dues already ran
+    Clip(M.Overflow.front().At - C0 - 1, ClipReason::ClipOverflow);
+  if (W == 0)
+    return 0;
 
   // Per-hart front-end scan: bound the window so no hazard-class
   // instruction (gate op or p_swre, see Machine::buildWindowClass) can
   // reach its issue stage inside it. Ops already decoded are covered by
-  // the caller's GateCount/SendCount test; this scan covers the ib and
+  // the GateCount/SendCount tests above; this scan covers the ib and
   // the fetch stream. A blocked front end (no pc, empty ib) cannot
-  // issue anything new before C0+4 on any resume path.
+  // issue anything new before C0+4 on any resume path. No bound here is
+  // below 1, so one-cycle windows skip the scan.
   for (const Core &C : M.Cores) {
+    if (W < 2)
+      break;
     for (const Hart &H : C.Harts) {
       if (H.State == HartState::Free)
         continue;
@@ -502,39 +359,40 @@ unsigned ParEngine::planWindow(uint64_t Budget, bool Sweeps) const {
         Wh = std::min<uint64_t>(3, 2 + M.windowClassAt(H.Pc));
       else
         Wh = 3;
-      if (Wh < W)
-        W = Wh;
-      if (W <= 1)
-        return 1;
+      Clip(Wh, ClipReason::ClipHazard);
     }
   }
 
   // Wheel scan: every arrival due inside the window must be consumable
-  // by one shard alone (windowShardOf); clip the window before the
-  // first one that is not. (Entries in slot (C0+K) % WheelSize are due
+  // by one shard alone. Device accesses need the serial loop: stop
+  // before the first one (one due next cycle makes a serial cycle). A
+  // BankAccess runs on the serving core's shard; when the requester is
+  // on another shard its response must land after the window, where the
+  // merge schedules it. (Entries in slot (C0+K) % WheelSize are due
   // exactly at C0+K: the wheel spans WheelSize cycles and K is tiny.)
   size_t DueInWindow = 0;
   for (uint64_t K = 1; K <= W; ++K) {
     const std::vector<Delivery> &Slot =
         M.Wheel[(C0 + K) % Machine::WheelSize];
-    bool Clip = false;
-    for (const Delivery &D : Slot)
-      if (windowShardOf(D) < 0) {
-        Clip = true;
+    for (const Delivery &D : Slot) {
+      if (D.K == Delivery::Kind::IoAccess) {
+        Clip(K - 1, ClipReason::ClipDue);
         break;
       }
-    if (Clip) {
-      W = K - 1;
-      break;
+      if (D.K == Delivery::Kind::BankAccess &&
+          CoreShard[serverCore(D)] != CoreShard[D.HartId / HartsPerCore])
+        Clip(D.RespCycle - C0 - 1, ClipReason::ClipDue); // >= K
     }
+    if (K > W)
+      break;
     DueInWindow += Slot.size();
   }
-  if (W <= 1)
-    return static_cast<unsigned>(W);
+  if (W == 0)
+    return 0;
 
-  // Worth heuristic (deterministic): a window buys one barrier for W
-  // cycles, but a near-idle machine is better served by the serial
-  // loop and its quiescence fast-forward.
+  // Worth heuristic (deterministic): a window buys one barrier round
+  // trip, but a near-idle machine is better served by the serial loop
+  // and its quiescence fast-forward.
   unsigned Awake = M.Cfg.NumCores;
   if (M.FastRun) {
     Awake = 0;
@@ -543,10 +401,16 @@ unsigned ParEngine::planWindow(uint64_t Budget, bool Sweeps) const {
   }
   constexpr size_t MinParallelDue = 4;
   constexpr unsigned MinParallelCores = 2;
-  if (Awake < MinParallelCores && DueInWindow < MinParallelDue)
-    return 1;
+  if (Awake < MinParallelCores && DueInWindow < MinParallelDue) {
+    Why = ClipReason::ClipWorth;
+    return 0;
+  }
   return static_cast<unsigned>(W);
 }
+
+//===----------------------------------------------------------------------===//
+// Windows
+//===----------------------------------------------------------------------===//
 
 bool ParEngine::runWindow(unsigned W) {
   const uint64_t C0 = M.Cycle;
@@ -566,17 +430,18 @@ bool ParEngine::runWindow(unsigned W) {
   for (uint64_t K = 1; K <= W; ++K) {
     std::vector<Delivery> &Slot = M.Wheel[(C0 + K) % Machine::WheelSize];
     for (const Delivery &D : Slot) {
-      int32_t S = windowShardOf(D);
-      assert(S >= 0 && "window planner admitted a serial delivery");
+      assert(D.K != Delivery::Kind::IoAccess &&
+             "window planner admitted a device access");
+      uint16_t S = CoreShard[serverCore(D)];
       Bufs[S].WinDue[K].push_back(D);
-      DueOrder[K].push_back(static_cast<uint16_t>(S));
+      DueOrder[K].push_back(S);
     }
     M.WheelCount -= Slot.size();
     Slot.clear();
   }
 
   uint64_t T0 = nowNanos();
-  runPhase(2);
+  runShards();
   uint64_t T1 = nowNanos();
   mergeWindow();
   bool Acted = foldDeltas();
@@ -585,13 +450,18 @@ bool ParEngine::runWindow(unsigned W) {
   M.EStats.ShardNanos += T1 - T0;
   M.EStats.MergeNanos += T2 - T1;
   ++M.EStats.EpochsMerged;
-  M.EStats.WindowCycles += W;
+  if (W >= 2)
+    M.EStats.WindowCycles += W;
   ++M.EStats.WindowHist[std::min<unsigned>(W, MaxEpochWindow)];
   return Acted;
 }
 
 void ParEngine::shardWindow(unsigned S) {
   ShardBuf &B = Bufs[S];
+  // Serial halt checkpoints sit after each delivery and after the
+  // commit, issue, decode and fetch stages; mark the last op staged by
+  // the finishing step so the replay stops exactly where the reference
+  // loop would.
   auto FlagCheck = [&B] {
     if (B.Ops.size() > B.UnitBegin)
       B.Ops.back().Check = true;
@@ -619,7 +489,7 @@ void ParEngine::shardWindow(unsigned S) {
       Core &C = M.Cores[CoreId];
       B.beginUnit();
       if (M.FastRun && Now < M.CoreWake[CoreId]) {
-        B.endCoreUnit(Now);
+        B.endCoreUnit(Now); // empty unit keeps the merge cursors aligned
         continue;
       }
       bool CoreActed = M.stageCommit(CoreId);
@@ -774,33 +644,6 @@ void ParEngine::replayRange(unsigned S, ShardBuf::Range R) {
   }
 }
 
-void ParEngine::mergeDeliveries() {
-  std::fill(Cursor.begin(), Cursor.end(), 0);
-  const size_t N = M.DueBuf.size();
-  for (size_t I = 0; I != N && !M.Halted; ++I) {
-    int32_t S = DueOwner[I];
-    if (S < 0) {
-      M.deliver(M.DueBuf[I]); // TlStage is null: full serial delivery
-      continue;
-    }
-    ShardBuf &B = Bufs[S];
-    if (Cursor[S] >= B.DueRanges.size())
-      break; // shard stopped early (its halt already replayed)
-    replayRange(S, B.DueRanges[Cursor[S]++]);
-  }
-}
-
-void ParEngine::mergeStages() {
-  std::fill(Cursor.begin(), Cursor.end(), 0);
-  for (unsigned C = 0; C != M.Cfg.NumCores && !M.Halted; ++C) {
-    unsigned S = CoreShard[C];
-    ShardBuf &B = Bufs[S];
-    if (Cursor[S] >= B.CoreRanges.size())
-      break; // shard stopped early (its halt already replayed)
-    replayRange(S, B.CoreRanges[Cursor[S]++]);
-  }
-}
-
 bool ParEngine::foldDeltas() {
   bool Acted = false;
   for (ShardBuf &B : Bufs) {
@@ -823,19 +666,20 @@ bool ParEngine::foldDeltas() {
 // The engine loop
 //===----------------------------------------------------------------------===//
 
+const char *Machine::EngineStats::clipName(unsigned R) {
+  static const char *const Names[NumClipReasons] = {
+      "budget", "sweep", "livelock", "overflow", "hazard",
+      "due",    "worth", "gate",     "serial"};
+  assert(R < NumClipReasons && "clip reason out of range");
+  return Names[R];
+}
+
 RunStatus Machine::runParallel(uint64_t MaxCycles) {
   assert(parallelEligible() && "parallel engine on an ineligible config");
   Status = RunStatus::MaxCycles;
   Halted = false;
   uint64_t Budget = MaxCycles;
   const bool Sweeps = Cfg.EnableCheckers && Cfg.CheckInterval != 0;
-
-  // Below these sizes the barrier round trip costs more than the work;
-  // either path produces identical observables (the thresholds are
-  // deterministic functions of machine state), so this is purely a
-  // scheduling decision.
-  constexpr size_t MinParallelDue = 4;
-  constexpr unsigned MinParallelCores = 2;
 
   ParEngine E(*this);
   EStats.WorkersUsed = E.NumWorkers + 1;
@@ -848,86 +692,37 @@ RunStatus Machine::runParallel(uint64_t MaxCycles) {
   while (!Halted && Budget != 0) {
     E.maybeRebalance();
 
-    // Multi-cycle windows need an empty cross-shard in-flight set: no
-    // decoded gate/send ops, no fault plan (its triggers key on the
-    // serial schedule cycle), no forced per-cycle cadence.
-    unsigned W = 0;
-    if (E.WindowMax > 1 && GateCount == 0 && SendCount == 0 &&
-        !FPlan.enabled())
-      W = E.planWindow(Budget, Sweeps);
+    ClipReason Why = ClipReason::NumClipReasons;
+    unsigned W = E.planWindow(Budget, Sweeps, Why);
+    if (W < E.WindowMax) {
+      ++EStats.Clips[Why];
+      if (W == 0)
+        ++EStats.Clips[ClipReason::ClipSerial];
+    }
 
-    bool Acted = false;
-    if (W >= 2) {
+    bool Acted;
+    if (W != 0) {
       Budget -= W;
       Acted = E.runWindow(W);
-      if (Halted)
-        break;
     } else {
+      // A serial cycle: the reference loop's body on the main thread.
       --Budget;
       ++Cycle;
-
+      ++EStats.WindowHist[0];
+      if (GateCount != 0)
+        ++EStats.GatedCycles;
       collectDue();
-      bool Merged = false;
-      if (!DueBuf.empty()) {
-        if (DueBuf.size() < MinParallelDue) {
-          for (const Delivery &D : DueBuf) {
-            deliver(D);
-            if (Halted)
-              break;
-          }
-        } else {
-          uint64_t T0 = nowNanos();
-          E.prepPerCycle();
-          E.classifyDue();
-          E.runPhase(0);
-          uint64_t T1 = nowNanos();
-          E.mergeDeliveries();
-          E.foldDeltas();
-          EStats.ShardNanos += T1 - T0;
-          EStats.MergeNanos += nowNanos() - T1;
-          Merged = true;
-        }
+      for (const Delivery &D : DueBuf) {
+        deliver(D);
         if (Halted)
           break;
       }
-
-      unsigned Awake = Cfg.NumCores;
-      if (FastRun) {
-        Awake = 0;
-        for (uint64_t Wake : CoreWake)
-          Awake += Wake <= Cycle ? 1 : 0;
-      }
-      if (Awake != 0) {
-        // The serial gate: while any cross-core-sensitive op (fork,
-        // p_swcv, fork-call) is decoded but not yet issued, the whole
-        // stage phase runs in exact reference order. Sound because
-        // issue precedes decode, so an op decoded in cycle T issues at
-        // T+1 at the earliest — after this gate has been merged.
-        if (GateCount != 0 || Awake < MinParallelCores) {
-          if (GateCount != 0)
-            ++EStats.GatedCycles;
-          Acted = cycleStagesSerial();
-        } else {
-          uint64_t T0 = nowNanos();
-          E.prepPerCycle();
-          E.runPhase(1);
-          uint64_t T1 = nowNanos();
-          E.mergeStages();
-          Acted = E.foldDeltas();
-          EStats.ShardNanos += T1 - T0;
-          EStats.MergeNanos += nowNanos() - T1;
-          Merged = true;
-        }
-      }
-      if (Merged) {
-        ++EStats.EpochsMerged;
-        ++EStats.WindowHist[1];
-      } else {
-        ++EStats.WindowHist[0];
-      }
       if (Halted)
         break;
+      Acted = cycleStagesSerial();
     }
+    if (Halted)
+      break;
 
     if (Sweeps && Cycle % Cfg.CheckInterval == 0) {
       Ck.sweep(*this);

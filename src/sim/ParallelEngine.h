@@ -11,17 +11,15 @@
 /// events, schedule() calls, interconnect reservations, checker counter
 /// updates, faults — is appended to the shard's StagedOp stream instead
 /// of being applied, and the epoch merge replays the streams in the
-/// serial loop's canonical order (delivery index for the delivery
-/// phase, core id for the stage phase; program order within a unit).
-/// Hart/bank state owned by the shard is mutated directly, which is
-/// race-free because ownership is disjoint and the phases are separated
-/// by barriers.
+/// serial loop's canonical order (per cycle: delivery slot order, then
+/// core id; program order within a unit). Hart/bank state owned by the
+/// shard is mutated directly, which is race-free because ownership is
+/// disjoint and epochs are separated by barriers.
 ///
-/// Epochs are adaptive and multi-cycle: when the delivery wheel and the
-/// per-hart hazard scan show no cross-shard traffic due inside a
-/// lookahead window, a shard runs every cycle of the window between two
-/// barriers, tagging each replay unit with its cycle so the merge can
-/// walk the window cycle by cycle and replay the exact serial
+/// Every epoch is a window of one or more cycles between two barriers:
+/// a shard runs each cycle of the window (its deliveries, then its
+/// cores' stages), tagging each replay unit with its cycle so the merge
+/// can walk the window cycle by cycle and replay the exact serial
 /// interleaving (see ParEngine::planWindow in ParallelEngine.cpp).
 ///
 //===----------------------------------------------------------------------===//
@@ -113,15 +111,14 @@ struct alignas(64) ShardBuf {
   unsigned CoreBegin = 0; ///< Owned core range [CoreBegin, CoreEnd).
   unsigned CoreEnd = 0;
 
-  /// The shard-local simulated cycle. Equal to Machine::Cycle on the
-  /// per-cycle path; inside a multi-cycle window it walks the window
-  /// while Machine::Cycle still holds the epoch base. Machine::now()
-  /// reads it, so every latency/wake/event computation in the machine
-  /// is window-correct without the hooks knowing about windows.
+  /// The shard-local simulated cycle. It walks the window while
+  /// Machine::Cycle still holds the epoch base. Machine::now() reads
+  /// it, so every latency/wake/event computation in the machine is
+  /// window-correct without the hooks knowing about windows.
   uint64_t Now = 0;
 
-  /// Multi-cycle window bounds: the window covers simulated cycles
-  /// (WindowBase, WindowEnd]. WindowEnd == 0 means per-cycle mode.
+  /// Window bounds: the window covers simulated cycles
+  /// (WindowBase, WindowEnd].
   uint64_t WindowBase = 0;
   uint64_t WindowEnd = 0;
 
@@ -129,9 +126,8 @@ struct alignas(64) ShardBuf {
   /// Message text referenced by StagedOp::MsgIdx.
   std::vector<std::string> Msgs;
   /// Half-open index range into Ops for one replay unit (one delivery
-  /// in the delivery phase, one core in the stage phase), tagged with
-  /// the simulated cycle it ran at so a multi-cycle merge can walk the
-  /// window cycle by cycle.
+  /// or one core's stages), tagged with the simulated cycle it ran at
+  /// so the merge can walk the window cycle by cycle.
   struct Range {
     uint32_t Begin = 0;
     uint32_t End = 0;
@@ -188,8 +184,6 @@ struct alignas(64) ShardBuf {
       WinDue.resize(MaxEpochWindow + 1);
     for (std::vector<Delivery> &V : WinDue)
       V.clear();
-    WindowBase = 0;
-    WindowEnd = 0;
     GateDelta = 0;
     SendDelta = 0;
     JoinEpochDelta = 0;
@@ -203,8 +197,10 @@ struct alignas(64) ShardBuf {
 
 /// The staging sink of the worker currently running on this thread;
 /// null on the serial engines and during merges, which is what turns
-/// the Machine's side-effect hooks into direct calls.
-extern thread_local ShardBuf *TlStage;
+/// the Machine's side-effect hooks into direct calls. constinit lets
+/// every translation unit access it directly instead of through the
+/// dynamic-initialization TLS wrapper.
+extern constinit thread_local ShardBuf *TlStage;
 
 } // namespace sim
 } // namespace lbp

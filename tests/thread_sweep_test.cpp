@@ -24,16 +24,20 @@
 #include "obs/Report.h"
 #include "romp/AsmText.h"
 #include "romp/Runtime.h"
+#include "sim/Device.h"
 #include "sim/Machine.h"
 #include "sim/ParallelEngine.h"
 #include "support/SplitMix64.h"
 #include "support/StringUtils.h"
+#include "workloads/Dma.h"
 #include "workloads/MatMul.h"
 #include "workloads/Phases.h"
+#include "workloads/SensorFusion.h"
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 using namespace lbp;
@@ -55,6 +59,16 @@ struct Fingerprint {
   std::string Counters;
 };
 
+Fingerprint fingerprintOf(const Machine &M, RunStatus S) {
+  return {S,
+          M.cycles(),
+          M.retired(),
+          M.traceHash(),
+          M.faultMessage(),
+          M.machineChecks(),
+          obs::countersToJson(M)};
+}
+
 Fingerprint runWith(const assembler::Program &Prog, SimConfig Cfg,
                     unsigned Threads, uint64_t MaxCycles) {
   Cfg.HostThreads = Threads;
@@ -64,14 +78,7 @@ Fingerprint runWith(const assembler::Program &Prog, SimConfig Cfg,
   Cfg.CollectCounters = true;
   Machine M(Cfg);
   M.load(Prog);
-  RunStatus S = M.run(MaxCycles);
-  return {S,
-          M.cycles(),
-          M.retired(),
-          M.traceHash(),
-          M.faultMessage(),
-          M.machineChecks(),
-          obs::countersToJson(M)};
+  return fingerprintOf(M, M.run(MaxCycles));
 }
 
 void expectSame(const Fingerprint &Ref, const Fingerprint &Got,
@@ -255,7 +262,7 @@ TEST(ThreadSweep, QuiescentStretchesUseMultiCycleEpochs) {
 
 /// Dense cross-shard traffic: every hart hammers the *next* core's
 /// global bank, so nearly every delivery crosses a shard boundary and
-/// the window planner must keep clipping back to per-cycle epochs —
+/// the window planner must keep clipping back to one-cycle windows —
 /// the adversarial case for the window due-scan.
 std::string crossBankProgram(unsigned NumHarts, unsigned Rounds,
                              unsigned Iters) {
@@ -415,8 +422,8 @@ TEST(ThreadSweep, RandomPrograms) {
 
 TEST(ThreadSweep, MaxCyclesTruncationMidEpoch) {
   // Cutting the budget mid-run must stop every thread count at the same
-  // cycle with the same trace — including budgets that land inside a
-  // parallel cycle's two-phase sequence.
+  // cycle with the same trace — including budgets that end a window
+  // early.
   workloads::PhasesSpec Spec;
   Spec.NumHarts = 16;
   SimConfig Cfg = SimConfig::lbp(Spec.cores());
@@ -531,6 +538,135 @@ TEST(ThreadSweep, MemLogDowngradeIsDiagnosed) {
   ASSERT_EQ(static_cast<int>(S.run(2000000)),
             static_cast<int>(RunStatus::Exited));
   EXPECT_TRUE(S.engineNote().empty()) << S.engineNote();
+}
+
+/// Attaches a workload's devices to a fresh machine and returns a
+/// reader of what they recorded once the run is over.
+using AttachDevices =
+    std::function<std::function<std::vector<uint64_t>()>(Machine &)>;
+
+/// Runs a device workload on reference, fast path and the sharded engine
+/// at 2 and 4 workers. Device accesses run on the parallel engine's
+/// serial cycles, so this is the sweep that drives them: every cell must
+/// match the reference fingerprint and the devices' records.
+void expectDeviceInvariant(const std::string &Src, const SimConfig &Cfg,
+                           const AttachDevices &Attach,
+                           const std::string &What) {
+  assembler::AsmResult R = assembler::assemble(Src);
+  ASSERT_TRUE(R.succeeded()) << What << ":\n" << R.errorText();
+  struct Cell {
+    const char *Name;
+    bool FastPath;
+    unsigned Threads;
+  };
+  constexpr Cell Cells[] = {{"reference", false, 1},
+                            {"fastpath", true, 1},
+                            {"parallel-t2", true, 2},
+                            {"parallel-t4", true, 4}};
+  Fingerprint Ref;
+  std::vector<uint64_t> RefOut;
+  for (const Cell &C : Cells) {
+    SimConfig CCfg = Cfg;
+    CCfg.FastPath = C.FastPath;
+    CCfg.HostThreads = C.Threads;
+    CCfg.OversubscribeHost = true;
+    CCfg.CollectCounters = true;
+    Machine M(CCfg);
+    std::function<std::vector<uint64_t>()> Output = Attach(M);
+    M.load(R.Prog);
+    Fingerprint Got = fingerprintOf(M, M.run(20000000));
+    std::string Where = What + " [" + C.Name + "]";
+    if (C.Threads > 1)
+      EXPECT_EQ(static_cast<int>(M.engineUsed()),
+                static_cast<int>(Machine::EngineKind::Parallel))
+          << Where;
+    if (&C == &Cells[0]) {
+      ASSERT_EQ(static_cast<int>(Got.Status),
+                static_cast<int>(RunStatus::Exited))
+          << Where << ": " << M.faultMessage();
+      Ref = Got;
+      RefOut = Output();
+      ASSERT_FALSE(RefOut.empty()) << Where;
+      continue;
+    }
+    expectSame(Ref, Got, Where);
+    EXPECT_EQ(RefOut, Output()) << Where;
+  }
+}
+
+TEST(ThreadSweep, DeviceWorkloadsAreThreadInvariant) {
+  // DMA streaming: 16 harts on 4 cores, controllers polling the stream
+  // devices while workers compute (tests/workloads_misc_test.cpp).
+  workloads::DmaSpec Dma;
+  Dma.Workers = 14;
+  Dma.ItemsPerWorker = 8;
+  expectDeviceInvariant(
+      workloads::buildDmaStreamProgram(Dma), SimConfig::lbp(Dma.cores()),
+      [&Dma](Machine &M) {
+        auto Out = std::make_unique<StreamOutDevice>();
+        StreamOutDevice *OutPtr = Out.get();
+        M.addDevice(workloads::DmaInDeviceBase, 0x100,
+                    std::make_unique<StreamInDevice>(
+                        workloads::dmaInputStream(Dma)));
+        M.addDevice(workloads::DmaOutDeviceBase, 0x100, std::move(Out));
+        return [OutPtr] {
+          return std::vector<uint64_t>(OutPtr->data().begin(),
+                                       OutPtr->data().end());
+        };
+      },
+      "dma");
+
+  // Sensor fusion: four sensors with seeded response latencies and an
+  // actuator whose records carry the cycle of every write. The team
+  // runs on core 0; the other cores give the shards something to own.
+  workloads::SensorFusionSpec Fusion;
+  Fusion.Rounds = 4;
+  expectDeviceInvariant(
+      workloads::buildSensorFusionProgram(Fusion), SimConfig::lbp(4),
+      [&Fusion](Machine &M) {
+        for (unsigned S = 0; S != 4; ++S) {
+          std::vector<uint32_t> Samples;
+          for (unsigned K = 0; K != Fusion.Rounds; ++K)
+            Samples.push_back(100 * (S + 1) + K);
+          M.addDevice(workloads::SensorBase(S), 0x100,
+                      std::make_unique<SensorDevice>(Samples, 11 + S, 20,
+                                                     400));
+        }
+        auto Act = std::make_unique<ActuatorDevice>();
+        ActuatorDevice *ActPtr = Act.get();
+        M.addDevice(workloads::ActuatorBase, 0x100, std::move(Act));
+        return [ActPtr] {
+          std::vector<uint64_t> Out;
+          for (const ActuatorDevice::Record &Rec : ActPtr->records()) {
+            Out.push_back(Rec.Cycle);
+            Out.push_back(Rec.Value);
+          }
+          return Out;
+        };
+      },
+      "sensor-fusion");
+}
+
+TEST(ThreadSweep, FaultPlansRunOneCycleWindows) {
+  // A fault plan keys its triggers on the serial schedule cycle, which
+  // only a one-cycle window replays exactly: with a plan armed the
+  // engine must run its parallel epochs as one-cycle windows and never
+  // as multi-cycle ones.
+  assembler::AsmResult R =
+      assembler::assemble(barrierProgram(/*NumHarts=*/16, /*Rounds=*/4));
+  ASSERT_TRUE(R.succeeded()) << R.errorText();
+  SimConfig Cfg = withFaults(SimConfig::lbp(4), FaultCases[5], 0xF00Dull);
+  Cfg.HostThreads = 4;
+  Cfg.OversubscribeHost = true;
+  Machine M(Cfg);
+  M.load(R.Prog);
+  M.run(2000000);
+  ASSERT_EQ(static_cast<int>(M.engineUsed()),
+            static_cast<int>(Machine::EngineKind::Parallel));
+  const Machine::EngineStats &ES = M.engineStats();
+  EXPECT_GT(ES.WindowHist[1], 0u) << "no one-cycle window carried the plan";
+  for (unsigned W = 2; W <= MaxEpochWindow; ++W)
+    EXPECT_EQ(ES.WindowHist[W], 0u) << "window of " << W << " cycles";
 }
 
 } // namespace
