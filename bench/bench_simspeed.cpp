@@ -5,13 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // Measures how fast the simulator itself runs (simulated cycles per host
-// second and host MIPS) across the three engines: the reference loop
-// (FastPath off), the fast path, and the sharded parallel engine at a
-// sweep of host thread counts. Every run is also a differential check:
-// all engines and thread counts must agree bit for bit on traceHash(),
-// cycles(), retired() and RunStatus, or the bench exits non-zero — in
-// --quick mode too. A speedup that changes the event stream is a bug,
-// not a result.
+// second and host MIPS) on both engines: the reference loop (FastPath
+// off) and the fast path. Every run is also a differential check: the
+// engines must agree bit for bit on traceHash(), cycles(), retired() and
+// RunStatus, or the bench exits non-zero — in --quick mode too. A
+// speedup that changes the event stream is a bug, not a result.
 //
 // The bench also asserts the serial engines' zero-steady-state
 // allocation property: after a warm-up prefix of the periodic barrier
@@ -30,10 +28,12 @@
 // allocation property must hold with the counters armed, and the
 // enabled-vs-disabled overhead is printed and recorded in the JSON
 // (expected within a few percent; the sink is one virtual call per
-// event).
+// event). The interval-digest ring gets the same treatment. Each
+// overhead is the median of alternating off/on pairs of runs of about
+// 50 ms, with every sample in the JSON.
 //
-// Usage: bench_simspeed [--quick] [--out FILE] [--threads LIST]
-//                       [--engines LIST] [--counters]
+// Usage: bench_simspeed [--quick] [--out FILE] [--engines LIST]
+//                       [--counters]
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +49,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,6 +58,7 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/resource.h>
@@ -139,8 +141,8 @@ struct Fingerprint {
   }
 };
 
-/// One (engine, thread-count) cell of the comparison matrix, named by
-/// Spec.name(): "reference", "fastpath" or "parallel-tN" (N >= 1 here).
+/// One engine cell of the comparison matrix, named by Spec.name():
+/// "reference" or "fastpath".
 struct EngineResult {
   EngineSpec Spec;
   Fingerprint Fp;
@@ -150,16 +152,13 @@ struct EngineResult {
   long PeakRssKb = 0;
   bool Identical = true; ///< Fingerprint matches the reference engine.
   std::string EngineUsed; ///< Machine::engineName() after the run.
-  std::string EngineNote; ///< Non-empty when a knob changed the engine.
-  sim::Machine::EngineStats Stats; ///< Epoch machinery statistics.
 };
 
 struct WorkloadResult {
   std::string Name;
   unsigned Cores = 0;
   std::vector<EngineResult> Engines;
-  double FastSpeedup = 0.0;     ///< reference time / fastpath time.
-  double ParallelSpeedup = 0.0; ///< fastpath time / best parallel time.
+  double FastSpeedup = 0.0; ///< reference time / fastpath time.
 };
 
 /// One engine cell that broke bit-identity. Divergences no longer kill
@@ -167,10 +166,10 @@ struct WorkloadResult {
 /// into the payload (exit_reason + divergences), and only then turn
 /// into the nonzero exit status — so CI artifacts always say *why* the
 /// bench failed, not just that it did. Both cells of the mismatched
-/// pair are named in full (engine + host threads each side) so a triage
-/// run is launchable from the JSON alone — and one is in fact launched
-/// right here: TriageJson holds the embedded lbp-triage-report-v1
-/// document localizing the first divergent trace event.
+/// pair are named so a triage run is launchable from the JSON alone —
+/// and one is in fact launched right here: TriageJson holds the
+/// embedded lbp-triage-report-v1 document localizing the first
+/// divergent trace event.
 struct DivergenceRecord {
   std::string Workload;
   EngineSpec RefSpec, Spec;
@@ -186,14 +185,9 @@ long peakRssKb() {
   return Ru.ru_maxrss; // KiB on Linux
 }
 
-/// The exact config of a matrix cell. The bench measures the sharded
-/// engine itself, not the host's cpu count: it spawns the requested
-/// workers even when oversubscribed. The JSON records the hardware
-/// concurrency next to each cell so readers can judge which timings had
-/// real cpus behind them.
+/// The exact config of a matrix cell.
 sim::SimConfig cellConfig(sim::SimConfig Cfg, const EngineSpec &Spec) {
   Spec.applyTo(Cfg);
-  Cfg.OversubscribeHost = true;
   return Cfg;
 }
 
@@ -224,8 +218,6 @@ EngineResult timedRun(const assembler::Program &Prog,
   }
   R.PeakRssKb = peakRssKb();
   R.EngineUsed = M.engineName();
-  R.EngineNote = M.engineNote();
-  R.Stats = M.engineStats();
   return R;
 }
 
@@ -233,8 +225,7 @@ struct Options {
   bool Quick = false;
   bool Counters = false;
   std::string OutPath = "BENCH_simspeed.json";
-  std::vector<unsigned> Threads = {1, 2, 4, 8};
-  bool RunReference = true, RunFastPath = true, RunParallel = true;
+  bool RunReference = true, RunFastPath = true;
   /// Nonzero arms SimConfig::PerturbForTest at that cycle on every
   /// workload cell — a seeded divergence that exercises the whole
   /// divergence -> triage -> JSON pipeline (CI smoke).
@@ -257,16 +248,11 @@ runWorkload(const Options &Opt, const std::string &Name,
   Cfg.PerturbForTest = Opt.Perturb;
 
   // The reference fingerprint every other cell is compared against.
-  // When --engines excludes "reference", the fastpath run seeds it
-  // (the thread sweep is still checked against something serial).
   using Kind = EngineSpec::Kind;
   if (Opt.RunReference)
     W.Engines.push_back(timedRun(R.Prog, Cfg, {Kind::Reference}, Verify));
   if (Opt.RunFastPath)
     W.Engines.push_back(timedRun(R.Prog, Cfg, {Kind::FastPath}, Verify));
-  if (Opt.RunParallel)
-    for (unsigned T : Opt.Threads)
-      W.Engines.push_back(timedRun(R.Prog, Cfg, {Kind::Parallel, T}, Verify));
   if (W.Engines.empty())
     return W;
 
@@ -306,19 +292,8 @@ runWorkload(const Options &Opt, const std::string &Name,
   // A divergence is still a hard failure in every mode (--quick
   // included), but the exit happens in main, after writeJson.
 
-  const EngineResult *RefE = nullptr, *FastE = nullptr, *BestPar = nullptr;
-  for (const EngineResult &E : W.Engines) {
-    if (E.Spec.K == Kind::Reference)
-      RefE = &E;
-    else if (E.Spec.K == Kind::FastPath)
-      FastE = &E;
-    else if (!BestPar || E.HostSeconds < BestPar->HostSeconds)
-      BestPar = &E;
-  }
-  if (RefE && FastE && FastE->HostSeconds > 0.0)
-    W.FastSpeedup = RefE->HostSeconds / FastE->HostSeconds;
-  if (FastE && BestPar && BestPar->HostSeconds > 0.0)
-    W.ParallelSpeedup = FastE->HostSeconds / BestPar->HostSeconds;
+  if (W.Engines.size() == 2 && W.Engines[1].HostSeconds > 0.0)
+    W.FastSpeedup = W.Engines[0].HostSeconds / W.Engines[1].HostSeconds;
 
   std::printf("%-24s %3u cores  %10llu cycles", Name.c_str(), W.Cores,
               static_cast<unsigned long long>(Ref.Cycles));
@@ -390,35 +365,37 @@ WorkloadResult benchMatMul(const Options &Opt, unsigned Harts,
                      workloads::buildMatMulProgram(Spec), Cfg, Verify);
 }
 
-/// Steady-state allocation check: run the periodic barrier workload to
-/// its midpoint (every vector in the machine reaches its plateau
-/// capacity during the first rounds), then count heap allocations over
-/// the rest of the run. The serial engines promise zero — the delivery
-/// wheel, DueBuf, overflow heap and trace are all capacity-reusing flat
-/// structures. Returns the post-warm-up allocation count.
-uint64_t steadyStateAllocs(bool FastPath) {
-  std::string Src = barrierProgram(/*NumHarts=*/16, /*Rounds=*/12);
-  assembler::AsmResult R = assembler::assemble(Src);
+/// Assembles the barrier workload or dies.
+assembler::Program barrierImage(unsigned Harts, unsigned Rounds) {
+  assembler::AsmResult R = assembler::assemble(barrierProgram(Harts, Rounds));
   if (!R.succeeded()) {
-    std::fprintf(stderr, "bench_simspeed: barrier assembly failed\n");
+    std::fprintf(stderr, "bench_simspeed: barrier assembly failed:\n%s",
+                 R.errorText().c_str());
     std::exit(1);
   }
-  sim::SimConfig Cfg = sim::SimConfig::lbp(4);
-  Cfg.FastPath = FastPath;
+  return std::move(R.Prog);
+}
 
+/// Steady-state allocation check: run the barrier workload to its
+/// midpoint (every vector in the machine reaches its plateau capacity
+/// during the first rounds), then count heap allocations over the rest
+/// of the run. The engines promise zero — the delivery wheel, DueBuf,
+/// overflow heap, trace, counter sink and digest ring are all
+/// capacity-reusing or preallocated. Returns the post-warm-up count.
+uint64_t steadyStateAllocs(const assembler::Program &Prog,
+                           const sim::SimConfig &Cfg, unsigned Harts) {
   // Full run once to learn the total cycle count.
   sim::Machine Probe(Cfg);
-  Probe.load(R.Prog);
+  Probe.load(Prog);
   if (Probe.run() != sim::RunStatus::Exited) {
     std::fprintf(stderr, "bench_simspeed: alloc-probe run failed\n");
     std::exit(1);
   }
-  uint64_t Total = Probe.cycles();
 
   // Warm-up to the midpoint, then measure the remainder.
   sim::Machine M(Cfg);
-  M.load(R.Prog);
-  if (M.run(Total / 2) != sim::RunStatus::MaxCycles) {
+  M.load(Prog);
+  if (M.run(Probe.cycles() / 2) != sim::RunStatus::MaxCycles) {
     std::fprintf(stderr, "bench_simspeed: alloc warm-up ended early\n");
     std::exit(1);
   }
@@ -428,219 +405,143 @@ uint64_t steadyStateAllocs(bool FastPath) {
     std::exit(1);
   }
   uint64_t After = GAllocCount.load(std::memory_order_relaxed);
-  verifyBarrier(M, 16);
+  verifyBarrier(M, Harts);
   return After - Before;
 }
 
-/// The --counters measurement: the barrier workload with the counter
-/// sink disabled vs enabled on the fast path. Dies on a hash divergence
-/// (counters must be hash-neutral) or on steady-state allocation with
-/// the counters armed; timing noise only ever changes the reported
-/// overhead, never the exit status.
-struct CounterCost {
-  double DisabledSeconds = 0.0;
-  double EnabledSeconds = 0.0;
-  double OverheadPct = 0.0;
+double median(std::vector<double> V) {
+  std::sort(V.begin(), V.end());
+  size_t N = V.size();
+  return N % 2 ? V[N / 2] : (V[N / 2 - 1] + V[N / 2]) / 2;
+}
+
+/// The cost of one hash-neutral observer (the counter sink or the
+/// interval-digest ring) on the barrier workload, as alternating
+/// off/on pairs of runs: pair I runs "off" first when I is even and
+/// "on" first when it is odd, so slow drift of the host lands on both
+/// sides. The gate reads the median of the per-pair overheads; every
+/// sample and their median absolute deviation go into the JSON, so a
+/// reader can see whether the 1% digest gate sits inside the host's
+/// noise. One full-sweep run takes about 50-70 ms.
+struct OverheadCost {
+  std::vector<double> OffSeconds, OnSeconds, OverheadPcts; ///< Per pair.
+  double DisabledSeconds = 0.0; ///< Median of OffSeconds.
+  double EnabledSeconds = 0.0;  ///< Median of OnSeconds.
+  double OverheadPct = 0.0;     ///< Median of OverheadPcts.
+  double OverheadMadPct = 0.0;  ///< Median absolute deviation of them.
   uint64_t SteadyAllocs = 0;
 };
 
-CounterCost benchCounters(const Options &Opt) {
-  unsigned Cores = Opt.Quick ? 4 : 16;
-  unsigned Rounds = Opt.Quick ? 8 : 16;
-  unsigned Harts = 4 * Cores;
-  assembler::AsmResult R = assembler::assemble(barrierProgram(Harts, Rounds));
-  if (!R.succeeded()) {
-    std::fprintf(stderr, "bench_simspeed: counter-bench assembly failed\n");
-    std::exit(1);
-  }
-  sim::SimConfig Cfg = sim::SimConfig::lbp(Cores);
+constexpr unsigned OverheadPairs = 15;
 
-  std::unique_ptr<sim::Machine> Counted; // last enabled run, for the summary
-  auto Timed = [&](bool Collect, uint64_t &HashOut) -> double {
-    double Best = 0.0;
-    for (int Rep = 0; Rep != 3; ++Rep) { // best-of-3 damps host noise
-      sim::SimConfig C = Cfg;
-      C.CollectCounters = Collect;
-      auto M = std::make_unique<sim::Machine>(C);
-      M->load(R.Prog);
-      auto T0 = std::chrono::steady_clock::now();
-      if (M->run() != sim::RunStatus::Exited) {
-        std::fprintf(stderr, "bench_simspeed: counter-bench run failed\n");
-        std::exit(1);
-      }
-      auto T1 = std::chrono::steady_clock::now();
-      verifyBarrier(*M, Harts);
-      HashOut = M->traceHash();
-      double Sec = std::chrono::duration<double>(T1 - T0).count();
-      if (Rep == 0 || Sec < Best)
-        Best = Sec;
-      if (Collect)
-        Counted = std::move(M);
+/// Times \p Off against \p On (see OverheadCost). Dies if the trace
+/// hashes differ — both observers only *read* the event stream — or if
+/// the steady state allocates with the observer on. \p Last receives
+/// the machine of the final "on" run.
+OverheadCost measureOverhead(const char *What, const Options &Opt,
+                             const sim::SimConfig &Off,
+                             const sim::SimConfig &On,
+                             std::unique_ptr<sim::Machine> *Last = nullptr) {
+  unsigned Cores = Off.NumCores;
+  unsigned Harts = 4 * Cores;
+  assembler::Program Prog = barrierImage(Harts, Opt.Quick ? 64 : 128);
+  uint64_t HashOff = 0, HashOn = 0;
+  auto Timed = [&](bool IsOn) {
+    auto M = std::make_unique<sim::Machine>(IsOn ? On : Off);
+    M->load(Prog);
+    auto T0 = std::chrono::steady_clock::now();
+    if (M->run() != sim::RunStatus::Exited) {
+      std::fprintf(stderr, "bench_simspeed: %s-bench run failed\n", What);
+      std::exit(1);
     }
-    return Best;
+    auto T1 = std::chrono::steady_clock::now();
+    verifyBarrier(*M, Harts);
+    (IsOn ? HashOn : HashOff) = M->traceHash();
+    if (IsOn && Last)
+      *Last = std::move(M);
+    return std::chrono::duration<double>(T1 - T0).count();
   };
 
-  CounterCost Cost;
-  uint64_t HashOff = 0, HashOn = 0;
-  Cost.DisabledSeconds = Timed(false, HashOff);
-  Cost.EnabledSeconds = Timed(true, HashOn);
+  OverheadCost Cost;
+  Timed(false); // warm-up pair, not recorded
+  Timed(true);
+  for (unsigned I = 0; I != OverheadPairs; ++I) {
+    double OffS, OnS;
+    if (I % 2 == 0) {
+      OffS = Timed(false);
+      OnS = Timed(true);
+    } else {
+      OnS = Timed(true);
+      OffS = Timed(false);
+    }
+    Cost.OffSeconds.push_back(OffS);
+    Cost.OnSeconds.push_back(OnS);
+    Cost.OverheadPcts.push_back(OffS > 0.0 ? (OnS - OffS) / OffS * 100.0
+                                           : 0.0);
+  }
   if (HashOff != HashOn) {
     std::fprintf(stderr,
-                 "bench_simspeed: counters perturbed the trace hash "
+                 "bench_simspeed: %s perturbed the trace hash "
                  "(%016llx vs %016llx)\n",
-                 static_cast<unsigned long long>(HashOff),
+                 What, static_cast<unsigned long long>(HashOff),
                  static_cast<unsigned long long>(HashOn));
     std::exit(1);
   }
-  if (Cost.DisabledSeconds > 0.0)
-    Cost.OverheadPct = (Cost.EnabledSeconds - Cost.DisabledSeconds) /
-                       Cost.DisabledSeconds * 100.0;
+  Cost.DisabledSeconds = median(Cost.OffSeconds);
+  Cost.EnabledSeconds = median(Cost.OnSeconds);
+  Cost.OverheadPct = median(Cost.OverheadPcts);
+  std::vector<double> Dev;
+  for (double P : Cost.OverheadPcts)
+    Dev.push_back(std::abs(P - Cost.OverheadPct));
+  Cost.OverheadMadPct = median(Dev);
+
+  Cost.SteadyAllocs = steadyStateAllocs(Prog, On, Harts);
+  if (Cost.SteadyAllocs != 0) {
+    std::fprintf(stderr,
+                 "bench_simspeed: %llu steady-state allocations with "
+                 "%s on (expected zero)\n",
+                 static_cast<unsigned long long>(Cost.SteadyAllocs), What);
+    std::exit(1);
+  }
+  std::printf("%s: overhead %.2f%% (median of %u pairs, MAD %.2f%%; "
+              "off %.4fs, on %.4fs)\n",
+              What, Cost.OverheadPct, OverheadPairs, Cost.OverheadMadPct,
+              Cost.DisabledSeconds, Cost.EnabledSeconds);
+  return Cost;
+}
+
+/// The --counters measurement: the counter sink disabled vs enabled on
+/// the fast path.
+OverheadCost benchCounters(const Options &Opt) {
+  sim::SimConfig Off = sim::SimConfig::lbp(Opt.Quick ? 4 : 16);
+  sim::SimConfig On = Off;
+  On.CollectCounters = true;
+  std::unique_ptr<sim::Machine> Counted;
+  OverheadCost Cost = measureOverhead("counters", Opt, Off, On, &Counted);
 
   const obs::PerfCounters &PC = Counted->counters();
   uint64_t Commits = 0;
   for (uint64_t C : PC.CommitsPerCore)
     Commits += C;
-  std::printf("counters: overhead %.1f%% (off %.3fs, on %.3fs)  "
-              "commits %llu, forks %llu, token-passes %llu, joins %llu, "
-              "token-latency mean %.1f cycles\n",
-              Cost.OverheadPct, Cost.DisabledSeconds, Cost.EnabledSeconds,
+  std::printf("counters: commits %llu, forks %llu, token-passes %llu, "
+              "joins %llu, token-latency mean %.1f cycles\n",
               static_cast<unsigned long long>(Commits),
               static_cast<unsigned long long>(PC.Forks),
               static_cast<unsigned long long>(PC.TokenPasses),
               static_cast<unsigned long long>(PC.Joins),
               PC.TokenLatency.mean());
-
-  // Steady-state allocations with the counters armed: the sink's state
-  // is preallocated by init(), so the zero-alloc property must survive.
-  {
-    sim::SimConfig C = Cfg;
-    C.CollectCounters = true;
-    sim::Machine Probe(C);
-    Probe.load(R.Prog);
-    if (Probe.run() != sim::RunStatus::Exited) {
-      std::fprintf(stderr, "bench_simspeed: counter alloc probe failed\n");
-      std::exit(1);
-    }
-    sim::Machine M(C);
-    M.load(R.Prog);
-    if (M.run(Probe.cycles() / 2) != sim::RunStatus::MaxCycles) {
-      std::fprintf(stderr, "bench_simspeed: counter warm-up ended early\n");
-      std::exit(1);
-    }
-    uint64_t Before = GAllocCount.load(std::memory_order_relaxed);
-    if (M.run() != sim::RunStatus::Exited) {
-      std::fprintf(stderr, "bench_simspeed: counter measured run failed\n");
-      std::exit(1);
-    }
-    Cost.SteadyAllocs = GAllocCount.load(std::memory_order_relaxed) - Before;
-    if (Cost.SteadyAllocs != 0) {
-      std::fprintf(stderr,
-                   "bench_simspeed: %llu steady-state allocations with "
-                   "counters on (expected zero)\n",
-                   static_cast<unsigned long long>(Cost.SteadyAllocs));
-      std::exit(1);
-    }
-  }
   return Cost;
 }
 
-/// The interval-digest cost on the same barrier workload: digesting off
-/// (DigestInterval = 0) vs on (the default 4096). The final hashes must
-/// match bit for bit (digesting only *reads* the hash accumulator) and
-/// the steady state must stay allocation-free (the ring is preallocated
-/// by configureDigests) — both are hard assertions. The timing gate
-/// (<= 1% on top of the baseline) is evaluateGates' job.
-struct DigestCost {
-  double DisabledSeconds = 0.0;
-  double EnabledSeconds = 0.0;
-  double OverheadPct = 0.0;
-  uint64_t SteadyAllocs = 0;
-};
-
-DigestCost benchDigests(const Options &Opt) {
-  unsigned Cores = Opt.Quick ? 4 : 16;
-  unsigned Rounds = Opt.Quick ? 8 : 16;
-  unsigned Harts = 4 * Cores;
-  assembler::AsmResult R = assembler::assemble(barrierProgram(Harts, Rounds));
-  if (!R.succeeded()) {
-    std::fprintf(stderr, "bench_simspeed: digest-bench assembly failed\n");
-    std::exit(1);
-  }
-  sim::SimConfig Cfg = sim::SimConfig::lbp(Cores);
-
-  auto Timed = [&](uint64_t Interval, uint64_t &HashOut) -> double {
-    double Best = 0.0;
-    for (int Rep = 0; Rep != 3; ++Rep) { // best-of-3 damps host noise
-      sim::SimConfig C = Cfg;
-      C.DigestInterval = Interval;
-      sim::Machine M(C);
-      M.load(R.Prog);
-      auto T0 = std::chrono::steady_clock::now();
-      if (M.run() != sim::RunStatus::Exited) {
-        std::fprintf(stderr, "bench_simspeed: digest-bench run failed\n");
-        std::exit(1);
-      }
-      auto T1 = std::chrono::steady_clock::now();
-      verifyBarrier(M, Harts);
-      HashOut = M.traceHash();
-      double Sec = std::chrono::duration<double>(T1 - T0).count();
-      if (Rep == 0 || Sec < Best)
-        Best = Sec;
-    }
-    return Best;
-  };
-
-  DigestCost Cost;
-  uint64_t HashOff = 0, HashOn = 0;
-  Cost.DisabledSeconds = Timed(0, HashOff);
-  Cost.EnabledSeconds = Timed(4096, HashOn);
-  if (HashOff != HashOn) {
-    std::fprintf(stderr,
-                 "bench_simspeed: interval digests perturbed the trace "
-                 "hash (%016llx vs %016llx)\n",
-                 static_cast<unsigned long long>(HashOff),
-                 static_cast<unsigned long long>(HashOn));
-    std::exit(1);
-  }
-  if (Cost.DisabledSeconds > 0.0)
-    Cost.OverheadPct = (Cost.EnabledSeconds - Cost.DisabledSeconds) /
-                       Cost.DisabledSeconds * 100.0;
-  std::printf("digests: overhead %.1f%% (off %.3fs, on %.3fs)\n",
-              Cost.OverheadPct, Cost.DisabledSeconds, Cost.EnabledSeconds);
-
-  // Steady-state allocations with digesting armed: the ring is
-  // preallocated, so the zero-alloc property must survive.
-  {
-    sim::SimConfig C = Cfg;
-    C.DigestInterval = 4096;
-    sim::Machine Probe(C);
-    Probe.load(R.Prog);
-    if (Probe.run() != sim::RunStatus::Exited) {
-      std::fprintf(stderr, "bench_simspeed: digest alloc probe failed\n");
-      std::exit(1);
-    }
-    sim::Machine M(C);
-    M.load(R.Prog);
-    if (M.run(Probe.cycles() / 2) != sim::RunStatus::MaxCycles) {
-      std::fprintf(stderr, "bench_simspeed: digest warm-up ended early\n");
-      std::exit(1);
-    }
-    uint64_t Before = GAllocCount.load(std::memory_order_relaxed);
-    if (M.run() != sim::RunStatus::Exited) {
-      std::fprintf(stderr, "bench_simspeed: digest measured run failed\n");
-      std::exit(1);
-    }
-    Cost.SteadyAllocs = GAllocCount.load(std::memory_order_relaxed) - Before;
-    if (Cost.SteadyAllocs != 0) {
-      std::fprintf(stderr,
-                   "bench_simspeed: %llu steady-state allocations with "
-                   "digests on (expected zero)\n",
-                   static_cast<unsigned long long>(Cost.SteadyAllocs));
-      std::exit(1);
-    }
-  }
-
-  return Cost;
+/// The interval-digest cost: digesting off (DigestInterval = 0) vs on
+/// (the default 4096). The timing gate (<= 1% on top of the baseline)
+/// is evaluateGates' job.
+OverheadCost benchDigests(const Options &Opt) {
+  sim::SimConfig Off = sim::SimConfig::lbp(Opt.Quick ? 4 : 16);
+  Off.DigestInterval = 0;
+  sim::SimConfig On = Off;
+  On.DigestInterval = 4096;
+  return measureOverhead("digests", Opt, Off, On);
 }
 
 /// One threshold check on the measured numbers. Every gate that applies
@@ -670,61 +571,57 @@ void addGate(std::vector<GateRecord> &Gates, GateRecord G) {
 }
 
 /// Evaluates every gate that applies to this run (thresholds in
-/// docs/PERFORMANCE.md).
+/// docs/PERFORMANCE.md). Quick runs record numbers without gating on
+/// host noise.
 std::vector<GateRecord>
 evaluateGates(const Options &Opt, const std::vector<WorkloadResult> &Results,
-              const DigestCost *Digests) {
+              const OverheadCost *Digests) {
   std::vector<GateRecord> Gates;
-  // Scaling smoke gate (quick and full): on the barrier workload, two
-  // shard workers must not regress more than 25% below one. Only
-  // meaningful with at least two host cpus behind the threads; on a
-  // single-cpu runner the cells still ran (oversubscribed) for the
-  // bit-identity matrix, but their timings measure the scheduler.
-  if (std::thread::hardware_concurrency() >= 2) {
-    for (const WorkloadResult &W : Results) {
-      if (W.Name.rfind("barrier", 0) != 0)
-        continue;
-      const EngineResult *T1 = nullptr, *T2 = nullptr;
-      for (const EngineResult &E : W.Engines) {
-        if (E.Spec == EngineSpec{EngineSpec::Kind::Parallel, 1})
-          T1 = &E;
-        else if (E.Spec == EngineSpec{EngineSpec::Kind::Parallel, 2})
-          T2 = &E;
-      }
-      if (T1 && T2 && T1->HostSeconds > 0.0)
-        addGate(Gates, {W.Name + " parallel-t2/parallel-t1 host seconds",
-                        true, 1.25, T2->HostSeconds / T1->HostSeconds});
-    }
-  }
-
-  if (!Opt.Quick) {
-    // Acceptance gates. The FastPath one is unconditional; the parallel
-    // scaling one only makes sense with enough host cpus (single-cpu CI
-    // runners cannot speed anything up by threading, but they still ran
-    // the full bit-identity matrix above).
-    for (const WorkloadResult &W : Results) {
-      if (W.Cores == 64 && W.Name.rfind("barrier", 0) == 0 &&
-          Opt.RunReference && Opt.RunFastPath)
-        addGate(Gates,
-                {W.Name + " fastpath speedup", false, 3.0, W.FastSpeedup});
-      if (W.Cores == 64 && W.Name.rfind("matmul-tiled", 0) == 0 &&
-          Opt.RunFastPath && Opt.RunParallel &&
-          std::thread::hardware_concurrency() >= 8)
-        addGate(Gates, {W.Name + " parallel speedup", false, 3.0,
-                        W.ParallelSpeedup});
-    }
-    // Interval digests may cost at most 1% on top of the baseline; quick
-    // runs record the number without gating on host noise.
-    if (Digests)
-      addGate(Gates, {"interval-digest overhead pct", true, 1.0,
-                      Digests->OverheadPct});
-  }
+  if (Opt.Quick)
+    return Gates;
+  for (const WorkloadResult &W : Results)
+    if (W.Cores == 64 && W.Name.rfind("barrier", 0) == 0 &&
+        Opt.RunReference && Opt.RunFastPath)
+      addGate(Gates, {W.Name + " fastpath speedup", false, 3.0, W.FastSpeedup});
+  // Interval digests may cost at most 1% on top of the baseline.
+  if (Digests)
+    addGate(Gates,
+            {"interval-digest overhead pct", true, 1.0, Digests->OverheadPct});
   return Gates;
+}
+
+/// The JSON object of one overhead measurement (see OverheadCost).
+void writeOverheadJson(std::FILE *F, const char *Key,
+                       const OverheadCost &C) {
+  auto List = [F](const char *Name, const std::vector<double> &V,
+                  const char *Fmt) {
+    std::fprintf(F, "\"%s\": [", Name);
+    for (size_t I = 0; I != V.size(); ++I) {
+      std::fputs(I ? ", " : "", F);
+      std::fprintf(F, Fmt, V[I]);
+    }
+    std::fprintf(F, "]");
+  };
+  std::fprintf(F,
+               "  \"%s\": {\"disabled_seconds\": %.6f, "
+               "\"enabled_seconds\": %.6f, \"overhead_pct\": %.2f, "
+               "\"overhead_pct_mad\": %.2f, \"pairs\": %zu,\n    ",
+               Key, C.DisabledSeconds, C.EnabledSeconds, C.OverheadPct,
+               C.OverheadMadPct, C.OverheadPcts.size());
+  List("disabled_samples", C.OffSeconds, "%.6f");
+  std::fprintf(F, ",\n    ");
+  List("enabled_samples", C.OnSeconds, "%.6f");
+  std::fprintf(F, ",\n    ");
+  List("overhead_pct_samples", C.OverheadPcts, "%.2f");
+  std::fprintf(F,
+               ",\n    \"steady_state_allocs\": %llu, "
+               "\"hash_identical\": true},\n",
+               static_cast<unsigned long long>(C.SteadyAllocs));
 }
 
 void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
                uint64_t RefAllocs, uint64_t FastAllocs,
-               const CounterCost *Counters, const DigestCost *Digests,
+               const OverheadCost *Counters, const OverheadCost *Digests,
                const std::vector<GateRecord> &Gates) {
   std::FILE *F = std::fopen(Opt.OutPath.c_str(), "w");
   if (!F) {
@@ -752,22 +649,20 @@ void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
   std::fprintf(F, "%s],\n", Gates.empty() ? "" : "\n  ");
   std::fprintf(F, "  \"divergences\": [");
   for (size_t I = 0; I != Divergences.size(); ++I) {
-    // Both cells of the mismatched pair are named in full — engine and
-    // host threads each side — so a triage run is launchable from the
-    // JSON alone; the embedded "triage" object already holds one.
+    // Both cells of the mismatched pair are named, so a triage run is
+    // launchable from the JSON alone; the embedded "triage" object
+    // already holds one.
     const DivergenceRecord &D = Divergences[I];
     std::fprintf(F,
                  "%s\n    {\"workload\": \"%s\", \"engine\": \"%s\", "
-                 "\"host_threads\": %u,\n"
-                 "     \"reference_engine\": \"%s\", "
-                 "\"reference_host_threads\": %u,\n"
+                 "\"reference_engine\": \"%s\",\n"
                  "     \"reference\": {\"cycles\": %llu, \"retired\": %llu, "
                  "\"trace_hash\": \"%016llx\"},\n"
                  "     \"got\": {\"cycles\": %llu, \"retired\": %llu, "
                  "\"trace_hash\": \"%016llx\"},\n"
                  "     \"triage\": %s}",
                  I ? "," : "", D.Workload.c_str(), D.Spec.name().c_str(),
-                 D.Spec.Threads, D.RefSpec.name().c_str(), D.RefSpec.Threads,
+                 D.RefSpec.name().c_str(),
                  static_cast<unsigned long long>(D.Ref.Cycles),
                  static_cast<unsigned long long>(D.Ref.Retired),
                  static_cast<unsigned long long>(D.Ref.Hash),
@@ -779,33 +674,15 @@ void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
   std::fprintf(F, "%s],\n", Divergences.empty() ? "" : "\n  ");
   std::fprintf(F, "  \"host_threads\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(F, "  \"thread_list\": [");
-  for (size_t I = 0; I != Opt.Threads.size(); ++I)
-    std::fprintf(F, "%s%u", I ? ", " : "", Opt.Threads[I]);
-  std::fprintf(F, "],\n");
   std::fprintf(F,
                "  \"steady_state_allocs\": {\"reference\": %llu, "
                "\"fastpath\": %llu},\n",
                static_cast<unsigned long long>(RefAllocs),
                static_cast<unsigned long long>(FastAllocs));
   if (Counters)
-    std::fprintf(F,
-                 "  \"counters\": {\"disabled_seconds\": %.6f, "
-                 "\"enabled_seconds\": %.6f, \"overhead_pct\": %.2f, "
-                 "\"steady_state_allocs\": %llu, "
-                 "\"hash_identical\": true},\n",
-                 Counters->DisabledSeconds, Counters->EnabledSeconds,
-                 Counters->OverheadPct,
-                 static_cast<unsigned long long>(Counters->SteadyAllocs));
+    writeOverheadJson(F, "counters", *Counters);
   if (Digests)
-    std::fprintf(F,
-                 "  \"digests\": {\"disabled_seconds\": %.6f, "
-                 "\"enabled_seconds\": %.6f, \"overhead_pct\": %.2f, "
-                 "\"steady_state_allocs\": %llu, "
-                 "\"hash_identical\": true},\n",
-                 Digests->DisabledSeconds, Digests->EnabledSeconds,
-                 Digests->OverheadPct,
-                 static_cast<unsigned long long>(Digests->SteadyAllocs));
+    writeOverheadJson(F, "digests", *Digests);
   std::fprintf(F, "  \"workloads\": [\n");
   for (size_t I = 0; I != Results.size(); ++I) {
     const WorkloadResult &W = Results[I];
@@ -823,50 +700,18 @@ void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
     for (size_t J = 0; J != W.Engines.size(); ++J) {
       const EngineResult &E = W.Engines[J];
       std::fprintf(F,
-                   "        {\"engine\": \"%s\", \"host_threads\": %u, "
+                   "        {\"engine\": \"%s\", "
                    "\"host_seconds\": %.6f, \"cycles_per_sec\": %.1f, "
                    "\"mips\": %.3f, \"peak_rss_kb\": %ld, "
                    "\"identical\": %s, \"engine_used\": \"%s\"",
-                   E.Spec.name().c_str(), E.Spec.Threads, E.HostSeconds,
-                   E.CyclesPerSec, E.Mips, E.PeakRssKb,
-                   E.Identical ? "true" : "false", E.EngineUsed.c_str());
-      if (!E.EngineNote.empty())
-        std::fprintf(F, ",\n         \"engine_note\": \"%s\"",
-                     E.EngineNote.c_str());
-      if (E.EngineUsed == "parallel") {
-        const sim::Machine::EngineStats &S = E.Stats;
-        std::fprintf(
-            F,
-            ",\n         \"engine_stats\": {\"workers_used\": %u, "
-            "\"epochs_merged\": %llu, \"window_cycles\": %llu, "
-            "\"gated_cycles\": %llu, \"skipped_cycles\": %llu, "
-            "\"rebalances\": %llu, \"shard_seconds\": %.6f, "
-            "\"merge_seconds\": %.6f, \"window_hist\": [",
-            S.WorkersUsed, static_cast<unsigned long long>(S.EpochsMerged),
-            static_cast<unsigned long long>(S.WindowCycles),
-            static_cast<unsigned long long>(S.GatedCycles),
-            static_cast<unsigned long long>(S.SkippedCycles),
-            static_cast<unsigned long long>(S.Rebalances),
-            static_cast<double>(S.ShardNanos) / 1e9,
-            static_cast<double>(S.MergeNanos) / 1e9);
-        for (size_t K = 0; K != sizeof(S.WindowHist) / sizeof(uint64_t);
-             ++K)
-          std::fprintf(F, "%s%llu", K ? ", " : "",
-                       static_cast<unsigned long long>(S.WindowHist[K]));
-        std::fprintf(F, "], \"clips\": {");
-        for (unsigned R = 0; R != S.NumClipReasons; ++R)
-          std::fprintf(F, "%s\"%s\": %llu", R ? ", " : "", S.clipName(R),
-                       static_cast<unsigned long long>(S.Clips[R]));
-        std::fprintf(F, "}}");
-      }
+                   E.Spec.name().c_str(), E.HostSeconds, E.CyclesPerSec,
+                   E.Mips, E.PeakRssKb, E.Identical ? "true" : "false",
+                   E.EngineUsed.c_str());
       std::fprintf(F, "}%s\n", J + 1 == W.Engines.size() ? "" : ",");
     }
     std::fprintf(F, "      ],\n");
-    std::fprintf(F,
-                 "      \"fastpath_speedup\": %.3f,\n"
-                 "      \"parallel_speedup\": %.3f\n    }%s\n",
-                 W.FastSpeedup, W.ParallelSpeedup,
-                 I + 1 == Results.size() ? "" : ",");
+    std::fprintf(F, "      \"fastpath_speedup\": %.3f\n    }%s\n",
+                 W.FastSpeedup, I + 1 == Results.size() ? "" : ",");
   }
   std::fprintf(F, "  ]\n}\n");
   std::fclose(F);
@@ -877,16 +722,14 @@ void printUsage(const char *Argv0) {
   std::printf(
       "usage: %s [options]\n"
       "\n"
-      "Host simulation-speed benchmark and three-way engine differential\n"
-      "(reference loop / fast path / sharded parallel engine).\n"
+      "Host simulation-speed benchmark and engine differential\n"
+      "(reference loop / fast path).\n"
       "\n"
       "  --help           this text\n"
       "  --quick          small configs only (CI smoke)\n"
       "  --out FILE       JSON output path (default BENCH_simspeed.json)\n"
-      "  --threads LIST   comma-separated HostThreads sweep for the\n"
-      "                   parallel engine (default 1,2,4,8)\n"
       "  --engines LIST   comma-separated subset of\n"
-      "                   reference,fastpath,parallel (default all)\n"
+      "                   reference,fastpath (default both)\n"
       "  --counters       also measure the deterministic counter set's\n"
       "                   and the interval-digest ring's overhead\n"
       "                   (hash-neutrality and steady-state allocation\n"
@@ -898,24 +741,6 @@ void printUsage(const char *Argv0) {
       "Exit status: 0 ok; 1 divergence, gate failure or bad run;\n"
       "2 bad command line (e.g. unknown engine name).\n",
       Argv0);
-}
-
-bool parseThreadList(const char *Arg, std::vector<unsigned> &Out) {
-  Out.clear();
-  const char *P = Arg;
-  while (*P) {
-    char *End = nullptr;
-    unsigned long V = std::strtoul(P, &End, 10);
-    if (End == P || V == 0 || V > 256)
-      return false;
-    Out.push_back(static_cast<unsigned>(V));
-    P = End;
-    if (*P == ',')
-      ++P;
-    else if (*P)
-      return false;
-  }
-  return !Out.empty();
 }
 
 } // namespace
@@ -941,14 +766,8 @@ int main(int argc, char **argv) {
                      argv[I]);
         return 2;
       }
-    } else if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
-      if (!parseThreadList(argv[++I], Opt.Threads)) {
-        std::fprintf(stderr, "bench_simspeed: bad --threads list '%s'\n",
-                     argv[I]);
-        return 2;
-      }
     } else if (std::strcmp(argv[I], "--engines") == 0 && I + 1 < argc) {
-      Opt.RunReference = Opt.RunFastPath = Opt.RunParallel = false;
+      Opt.RunReference = Opt.RunFastPath = false;
       std::string List = argv[++I];
       size_t Pos = 0;
       while (Pos <= List.size()) {
@@ -959,12 +778,10 @@ int main(int argc, char **argv) {
           Opt.RunReference = true;
         else if (Name == "fastpath")
           Opt.RunFastPath = true;
-        else if (Name == "parallel")
-          Opt.RunParallel = true;
         else {
           std::fprintf(stderr,
                        "bench_simspeed: unknown engine '%s' (expected "
-                       "reference, fastpath or parallel)\n",
+                       "reference or fastpath)\n",
                        Name.c_str());
           return 2;
         }
@@ -981,14 +798,18 @@ int main(int argc, char **argv) {
   }
 
   // The allocation assertion runs first (it is also a correctness run):
-  // the serial engines must not allocate in steady state.
-  uint64_t RefAllocs = steadyStateAllocs(/*FastPath=*/false);
-  uint64_t FastAllocs = steadyStateAllocs(/*FastPath=*/true);
+  // the engines must not allocate in steady state.
+  assembler::Program Barrier = barrierImage(/*Harts=*/16, /*Rounds=*/12);
+  sim::SimConfig AllocCfg = sim::SimConfig::lbp(4);
+  AllocCfg.FastPath = false;
+  uint64_t RefAllocs = steadyStateAllocs(Barrier, AllocCfg, 16);
+  AllocCfg.FastPath = true;
+  uint64_t FastAllocs = steadyStateAllocs(Barrier, AllocCfg, 16);
   std::printf("steady-state allocations: reference %llu, fastpath %llu\n",
               static_cast<unsigned long long>(RefAllocs),
               static_cast<unsigned long long>(FastAllocs));
   if (RefAllocs != 0 || FastAllocs != 0) {
-    std::fprintf(stderr, "bench_simspeed: serial engines allocated in "
+    std::fprintf(stderr, "bench_simspeed: the engines allocated in "
                          "steady state (expected zero)\n");
     return 1;
   }
@@ -1009,8 +830,7 @@ int main(int argc, char **argv) {
         benchMatMul(Opt, 256, workloads::MatMulVersion::Tiled));
   }
 
-  CounterCost Counters;
-  DigestCost Digests;
+  OverheadCost Counters, Digests;
   if (Opt.Counters) {
     Counters = benchCounters(Opt);
     Digests = benchDigests(Opt);

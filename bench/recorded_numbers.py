@@ -26,37 +26,39 @@ def count(n):
 
 def render(bench):
     """The generated block (markers included) for one bench JSON."""
-    threads = max(bench["thread_list"])
-    cell = f"parallel-t{threads}"
     lines = [
         BEGIN,
         f"`BENCH_simspeed.json` (`quick`: {str(bench['quick']).lower()}, "
         f"`exit_reason`: `{bench['exit_reason']}`) was produced on a host "
-        f"with {bench['host_threads']} hardware threads, sweeping "
-        f"`--threads {','.join(map(str, bench['thread_list']))}`. "
-        "Each cell is a single shot; speedups are ratios of "
-        "`host_seconds`. The last three columns are the "
-        f"`{cell}` cell.",
+        f"with {bench['host_threads']} hardware threads. Each engine cell "
+        "is a single shot; the speedup is the ratio of `host_seconds`.",
         "",
-        f"| workload (cores) | fastpath vs reference | {cell} vs fastpath "
-        "| epochs merged | cycles inside multi-cycle windows |",
+        "| workload (cores) | simulated cycles | reference s | fastpath s "
+        "| fastpath vs reference |",
         "|---|---:|---:|---:|---:|",
     ]
     for w in bench["workloads"]:
         by = {e["engine"]: e for e in w["engines"]}
-        par = by.get(cell)
-        if par is None or "engine_stats" not in par or "fastpath" not in by:
-            vs_fast = epochs = inside = "—"
-        else:
-            stats = par["engine_stats"]
-            vs_fast = "%.3f×" % (by["fastpath"]["host_seconds"] /
-                                 par["host_seconds"])
-            epochs = count(stats["epochs_merged"])
-            inside = (f"{count(stats['window_cycles'])} / "
-                      f"{count(w['sim_cycles'])}")
+
+        def secs(name):
+            return ("%.4f" % by[name]["host_seconds"]) if name in by else "—"
+
+        speedup = w["fastpath_speedup"]
         lines.append(
-            f"| {w['name']} ({w['cores']}) | {w['fastpath_speedup']:.3f}× | "
-            f"{vs_fast} | {epochs} | {inside} |")
+            f"| {w['name']} ({w['cores']}) | {count(w['sim_cycles'])} | "
+            f"{secs('reference')} | {secs('fastpath')} | "
+            + (f"{speedup:.3f}×" if speedup else "—") + " |")
+    for key, what in (("counters", "Counter"), ("digests", "Interval-digest")):
+        cost = bench.get(key)
+        if cost:
+            lines += [
+                "",
+                f"{what} overhead: {cost['overhead_pct']:.2f}% (median of "
+                f"{cost['pairs']} alternating off/on pairs, median absolute "
+                f"deviation {cost['overhead_pct_mad']:.2f}%; off "
+                f"{cost['disabled_seconds']:.4f} s, on "
+                f"{cost['enabled_seconds']:.4f} s).",
+            ]
     lines.append(END)
     return "\n".join(lines) + "\n"
 

@@ -16,7 +16,7 @@
 ///     --seed-base N        run i uses fault seed N + i (default 1)
 ///     --drops/--delays/--flips/--stuck N
 ///                          injected faults per run (default 0)
-///     --engine E           reference | fastpath | parallel-tN
+///     --engine E           reference | fastpath
 ///                          (default fastpath; workloads/RunSpec.h)
 ///     --deadline-cycles N  deterministic per-run deadline
 ///                          (default 10000000)
@@ -82,7 +82,7 @@ int usage() {
       "usage: lbp_fleet [--workload %s] [file.c|file.s|-]\n"
       "  --cores N  --runs N  --seed-base N\n"
       "  --drops N  --delays N  --flips N  --stuck N\n"
-      "  --engine reference|fastpath|parallel-tN  --deadline-cycles N\n"
+      "  --engine reference|fastpath  --deadline-cycles N\n"
       "  --workers N  --max-attempts N\n"
       "  --checkpoint-interval N  --checkpoint-dir D\n"
       "  --wall-timeout-ms N  --inject-crash I  --inject-hang I\n"

@@ -7,15 +7,12 @@
 /// \file
 /// The counter pillar of the observability layer (docs/OBSERVABILITY.md).
 /// Almost every counter here is derived from the canonical trace-event
-/// stream through the sim::TraceSink interface: the serial loop, the
-/// fast path and the sharded parallel engine all hand the sink the exact
-/// event sequence the trace hash sees (staged events replay at the epoch
-/// merge in the reference loop's order), so the values are bit-identical
-/// across engines and host thread counts *by construction*. The ROB and
-/// result-slot high-water marks are not events; the Machine raises them
-/// through the same per-shard staging path (StagedOp::K::RobHigh /
-/// SlotHigh), which gives them the identical canonical-order guarantee —
-/// including the truncation-on-halt behavior of the serial loop.
+/// stream through the sim::TraceSink interface: the reference loop and
+/// the fast path both hand the sink the exact event sequence the trace
+/// hash sees, so the values are bit-identical across engines *by
+/// construction*. The ROB and result-slot high-water marks are not
+/// events; the Machine raises them directly from the decode stage and
+/// the slot-fill delivery.
 ///
 /// Nothing in this header feeds back into the event hash: sinks run
 /// after hashing, so enabling counters provably leaves every trace hash

@@ -20,7 +20,7 @@
 /// Both sinks observe the stream through sim::TraceSink, i.e. strictly
 /// after hashing, and both derive their output from the canonical event
 /// sequence only — no wall-clock, no pointers — so the exported bytes
-/// are identical for every engine and host thread count (asserted by
+/// are identical for both engines (asserted by
 /// tests/thread_sweep_test.cpp).
 ///
 //===----------------------------------------------------------------------===//

@@ -13,9 +13,8 @@
 ///   lbp_prof [options] file.c | file.s | -
 ///     --workload NAME      phases | matmul | pipeline (instead of a file)
 ///     --cores N            machine size (default 4)
-///     --engine E           reference | fastpath | parallel-tN
+///     --engine E           reference | fastpath
 ///                          (default fastpath; workloads/RunSpec.h)
-///     --oversubscribe      don't clamp parallel-tN to the host's cpus
 ///     --max-cycles N       cycle budget (default 100000000)
 ///     --seed N             fault-plan seed; --drops/--delays/
 ///     --drops N            --flips add that many injected faults
@@ -61,7 +60,6 @@ struct Options {
   unsigned TopN = 8;
   uint64_t MaxCycles = 100000000;
   uint64_t Seed = 0;
-  bool Oversubscribe = false;
   bool Digests = false;          ///< Print the interval-digest ring.
   std::optional<uint64_t> DigestInterval; ///< Stride override; 0 = off.
 };
@@ -71,8 +69,7 @@ int usage() {
       stderr,
       "usage: lbp_prof [options] file.c|file.s|-\n"
       "       lbp_prof [options] --workload %s\n"
-      "  --cores N  --engine reference|fastpath|parallel-tN  "
-      "--oversubscribe\n"
+      "  --cores N  --engine reference|fastpath\n"
       "  --max-cycles N  --seed N  --drops N  --delays N  --flips N\n"
       "  --no-stalls  --top N\n"
       "  --perfetto OUT.json  --jsonl OUT.jsonl  --counters OUT.json\n"
@@ -99,8 +96,6 @@ int main(int Argc, char **Argv) {
       Ok = R.value(Opts.MaxCycles);
     } else if (A == "--seed") {
       Ok = R.value(Opts.Seed);
-    } else if (A == "--oversubscribe") {
-      Opts.Oversubscribe = true;
     } else if (A == "--no-stalls") {
       Opts.Stalls = false;
     } else if (A == "--top") {
@@ -134,7 +129,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "lbp_prof: %s\n", Err.c_str());
     return 2;
   }
-  Cfg.OversubscribeHost = Opts.Oversubscribe;
   Cfg.CollectCounters = true;
   Cfg.CollectStallStats = Opts.Stalls;
   if (Opts.DigestInterval)
@@ -205,9 +199,8 @@ int main(int Argc, char **Argv) {
       return 2;
     }
     // The counter snapshot, wrapped with run metadata: which engine
-    // actually executed (engineNote() records fallbacks, e.g. the
-    // sharded engine declining an odd topology) and the terminal
-    // message — for a livelock, the per-hart wait report.
+    // executed and the terminal message — for a livelock, the per-hart
+    // wait report.
     Out << "{\n  \"meta\": {\"engine\": \"" << jsonEscape(M.engineName())
         << "\", \"engine_note\": \"" << jsonEscape(M.engineNote())
         << "\", \"status\": \"" << sim::runStatusName(St)
@@ -216,28 +209,6 @@ int main(int Argc, char **Argv) {
         << M.trace().digestInterval()
         << ", \"digest_ring_cap\": " << M.trace().digestRingCap()
         << ", \"digest_count\": " << M.trace().digestCount();
-    // Host-side epoch statistics for the sharded engine: how often the
-    // adaptive windows engaged and where the wall time went (shard
-    // execution vs serial merge). Host-only — never part of the
-    // deterministic counter set below.
-    if (std::string(M.engineName()) == "parallel") {
-      const sim::Machine::EngineStats &S = M.engineStats();
-      Out << ",\n           \"engine_stats\": {\"workers_used\": "
-          << S.WorkersUsed << ", \"epochs_merged\": " << S.EpochsMerged
-          << ", \"window_cycles\": " << S.WindowCycles
-          << ", \"gated_cycles\": " << S.GatedCycles
-          << ", \"skipped_cycles\": " << S.SkippedCycles
-          << ", \"rebalances\": " << S.Rebalances
-          << ", \"shard_seconds\": " << (double)S.ShardNanos / 1e9
-          << ", \"merge_seconds\": " << (double)S.MergeNanos / 1e9
-          << ", \"window_hist\": [";
-      for (size_t K = 0; K != sizeof(S.WindowHist) / sizeof(uint64_t); ++K)
-        Out << (K ? ", " : "") << S.WindowHist[K];
-      Out << "], \"clips\": {";
-      for (unsigned R = 0; R != S.NumClipReasons; ++R)
-        Out << (R ? ", " : "") << '"' << S.clipName(R) << "\": " << S.Clips[R];
-      Out << "}}";
-    }
     Out << "},\n  \"counters\": " << obs::countersToJson(M) << "}\n";
   }
   return St == sim::RunStatus::Exited ? 0 : 1;

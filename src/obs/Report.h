@@ -9,13 +9,11 @@
 /// (docs/OBSERVABILITY.md):
 ///
 ///  * countersToJson() — the canonical counter snapshot. Every field in
-///    it is deterministic across engines and host thread counts, which
-///    is exactly why the snapshot exists: the differential tests compare
-///    the string byte-for-byte between the serial reference, the fast
-///    path and the sharded runs. Host-only observables (engine choice,
-///    HostThreads, the commutatively-folded local/remote access tallies
-///    whose post-halt truncation differs by engine) are deliberately
-///    *not* in it.
+///    it is deterministic across engines, which is exactly why the
+///    snapshot exists: the differential tests compare the string
+///    byte-for-byte between the reference loop and the fast path.
+///    Host-only observables (engine choice) and the local/remote access
+///    tallies are *not* in it.
 ///  * PhaseProfiler — a TraceSink that splits the run into barrier
 ///    phases: a Join delivered to hart 0 ends a phase (hart 0 resuming
 ///    is the paper's `p_syncm`-then-join barrier completion).

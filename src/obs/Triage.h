@@ -49,11 +49,11 @@ class Program;
 namespace obs {
 
 /// One side of a divergence: a label plus the full machine config.
-/// Host-side knobs (FastPath, HostThreads, ...) are the usual suspects;
+/// Host-side knobs (FastPath) are the usual suspects;
 /// behavior knobs (fault plan, PerturbForTest) are allowed to differ
 /// too — triage then explains what the difference did.
 struct TriageRunSpec {
-  std::string Name; ///< e.g. "reference", "parallel-t4".
+  std::string Name; ///< e.g. "reference", "fastpath".
   sim::SimConfig Cfg;
 };
 
@@ -90,7 +90,6 @@ int triageEventCore(const TriageEvent &E, unsigned BankSizeLog2);
 struct TriageSideResult {
   std::string Name;
   std::string EngineName;
-  unsigned HostThreads = 1;
   sim::RunStatus Status = sim::RunStatus::MaxCycles;
   uint64_t Cycles = 0;
   uint64_t Retired = 0;

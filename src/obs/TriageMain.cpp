@@ -15,9 +15,9 @@
 ///   lbp_triage [options] file.c | file.s | -
 ///     --workload NAME      phases | matmul | pipeline (instead of a file)
 ///     --cores N            machine size (default 4)
-///     --side-a SPEC        engine spec: reference | fastpath |
-///     --side-b SPEC        parallel-tN   (workloads/RunSpec.h; defaults:
-///                          side-a reference, side-b fastpath)
+///     --side-a SPEC        engine spec: reference | fastpath
+///     --side-b SPEC        (workloads/RunSpec.h; defaults: side-a
+///                          reference, side-b fastpath)
 ///     --seed-a N           per-side fault-plan seed (with --drops /
 ///     --seed-b N           --delays / --flips event counts)
 ///     --drops N  --delays N  --flips N
@@ -27,7 +27,6 @@
 ///     --context K          events of context around the divergence
 ///                          (default 8)
 ///     --max-cycles N       cycle budget (default 20000000)
-///     --oversubscribe      don't clamp worker counts to the host
 ///     --out FILE           write the report there instead of stdout
 ///
 /// Exit status: 0 = no divergence, 1 = divergence reported,
@@ -57,7 +56,6 @@ struct Options {
   uint64_t DigestInterval = 4096;
   unsigned Context = 8;
   uint64_t MaxCycles = 20000000;
-  bool Oversubscribe = false;
 };
 
 int usage() {
@@ -66,10 +64,10 @@ int usage() {
       "usage: lbp_triage [options] file.c|file.s|-\n"
       "       lbp_triage [options] --workload %s\n"
       "  --cores N  --side-a SPEC  --side-b SPEC   (SPEC = reference | "
-      "fastpath | parallel-tN)\n"
+      "fastpath)\n"
       "  --seed-a N  --seed-b N  --drops N  --delays N  --flips N\n"
       "  --perturb N  --digest-interval N  --context K  --max-cycles N\n"
-      "  --oversubscribe  --out FILE\n"
+      "  --out FILE\n"
       "See docs/OBSERVABILITY.md, \"Divergence triage\".\n",
       workloads::WorkloadNames);
   return 2;
@@ -104,8 +102,6 @@ int main(int Argc, char **Argv) {
       Ok = R.value(Opts.Context);
     } else if (A == "--max-cycles") {
       Ok = R.value(Opts.MaxCycles);
-    } else if (A == "--oversubscribe") {
-      Opts.Oversubscribe = true;
     } else if (A == "--out") {
       Ok = R.value(Opts.Out);
     } else if (A == "--help" || A == "-h") {
@@ -127,7 +123,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "lbp_triage: %s\n", Err.c_str());
     return 2;
   }
-  Base.OversubscribeHost = Opts.Oversubscribe;
   Base.DigestInterval = Opts.DigestInterval;
   Base.PerturbForTest = Opts.Perturb;
 

@@ -58,10 +58,8 @@ struct RobEntry {
   uint64_t RenameSeq = 0;
 };
 
-/// One hardware thread. Cache-line aligned: neighbouring harts are hot
-/// state for (possibly different) shard workers, and a hart straddling
-/// a line shared with another shard's hart is exactly the false sharing
-/// the parallel engine's SoA layout exists to kill.
+/// One hardware thread. Cache-line aligned, so each hart's state starts
+/// on a line of its own.
 struct alignas(64) Hart {
   HartState State = HartState::Free;
   /// Cycle of the last State transition; the machine-check layer uses it
@@ -111,23 +109,6 @@ struct alignas(64) Hart {
   // Ending-signal token (paper: "ending hart signal").
   bool Token = false;
 
-  /// Decoded-but-not-yet-issued ops with same-cycle cross-core effects
-  /// (p_fc/p_fn allocation, p_swcv's remote sp read, fork-call's remote
-  /// state read). The parallel engine sums these into its serial gate:
-  /// while any such op is in flight the next cycle runs on one thread
-  /// in exact reference order. Not architectural state — the serial
-  /// engines maintain it but never read it.
-  uint8_t PendingGateOps = 0;
-
-  /// Decoded-but-not-yet-performed send-class ops: p_swre (sends its
-  /// value backward at issue) and p_ret (sends the token / join at
-  /// commit). The parallel engine sums these into Machine::SendCount —
-  /// while any is in flight a multi-cycle window could see a cross-shard
-  /// arrival land inside itself, so the engine stays on one-cycle
-  /// windows. Decremented when the send happens (p_swre issue, p_ret
-  /// commit) and settled by freeHart. Not architectural state.
-  uint8_t PendingSendOps = 0;
-
   // Remote-result buffers (p_swre targets) plus overflow queue.
   bool SlotFull[ResultSlots] = {false};
   uint32_t SlotVal[ResultSlots] = {0};
@@ -165,8 +146,6 @@ struct alignas(64) Hart {
     RbBusy = RbReady = false;
     RbEntry = -1;
     Token = false;
-    PendingGateOps = 0;
-    PendingSendOps = 0;
     // A hart only reaches Free through a p_ret commit, which requires
     // OutstandingMem == 0, so no store acknowledgement can be in flight.
     OutstandingMem = 0;
@@ -179,10 +158,7 @@ struct alignas(64) Hart {
 
 /// One core: four harts plus the per-stage round-robin pointers ("each
 /// stage selects one active hart at every cycle", paper Sec. 5.2).
-/// The per-core sleep cycle (WakeAt) deliberately does NOT live here:
-/// it is the one word of core state written from outside the owning
-/// shard (wakes), so the machine keeps it in a separate SoA vector
-/// (Machine::CoreWake) where a wake never dirties the core's hot line.
+/// The per-core sleep cycle lives in Machine::CoreWake.
 struct alignas(64) Core {
   Hart Harts[HartsPerCore];
   uint8_t FetchRR = 0;

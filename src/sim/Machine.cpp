@@ -11,196 +11,14 @@
 #include "isa/HartRef.h"
 #include "isa/Reg.h"
 #include "sim/Exec.h"
-#include "sim/ParallelEngine.h"
 #include "support/Compiler.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <thread>
 
 using namespace lbp;
 using namespace lbp::sim;
 using namespace lbp::isa;
-
-constinit thread_local ShardBuf *lbp::sim::TlStage = nullptr;
-
-uint64_t Machine::now() const {
-  if (const ShardBuf *S = TlStage)
-    return S->Now;
-  return Cycle;
-}
-
-//===----------------------------------------------------------------------===//
-// Side-effect hooks
-//
-// Every mutation whose global order is observable funnels through one of
-// these. On the serial engines TlStage is null and each hook is a direct
-// call, so reference and fast-path behavior are untouched by
-// construction. Under a shard worker the effect is appended to the
-// shard's staging buffer and replayed at the epoch merge in the serial
-// loop's canonical order.
-//===----------------------------------------------------------------------===//
-
-void Machine::emit(EventKind K, uint64_t A, uint64_t B) {
-  if (ShardBuf *S = TlStage) {
-    // The event's cycle is not stored: replay stamps it with the unit's
-    // merge cycle, which equals now() here by construction.
-    StagedOp &Op = S->push();
-    Op.Kind = StagedOp::K::Event;
-    Op.EvK = K;
-    Op.Ev = {A, B};
-    return;
-  }
-  Tr.event(Cycle, K, A, B);
-}
-
-void Machine::stageOrSchedule(uint64_t At, const Delivery &D) {
-  if (ShardBuf *S = TlStage) {
-    if (At <= S->WindowEnd) {
-      // The arrival lands inside the open multi-cycle window. The
-      // window planner guaranteed every in-window source targets its
-      // own shard (only local memory responses get here: BankAccess on
-      // the requesting core, and the RbFill/MemAck it produces), so the
-      // worker can run the wheel insert locally and consume the
-      // delivery itself at offset At - WindowBase. The merge replays
-      // the checker's schedule accounting and records the shard in the
-      // window's canonical due order via the LocalSched op.
-      assert(At > S->Now && "local schedule must be in the future");
-      assert(D.K == Delivery::Kind::BankAccess ||
-             D.K == Delivery::Kind::RbFill || D.K == Delivery::Kind::MemAck);
-      Delivery Sealed = D;
-      Sealed.Parity = deliveryParity(Sealed);
-      S->WinDue[At - S->WindowBase].push_back(Sealed);
-      StagedOp &Op = S->push();
-      Op.Kind = StagedOp::K::LocalSched;
-      Op.At = At;
-      Op.D = Sealed;
-      return;
-    }
-    StagedOp &Op = S->push();
-    Op.Kind = StagedOp::K::Schedule;
-    Op.At = At;
-    Op.D = D;
-    return;
-  }
-  schedule(At, D);
-}
-
-void Machine::routeForwardAndSchedule(unsigned FromCore, unsigned ToCore,
-                                      const Delivery &D) {
-  if (ShardBuf *S = TlStage) {
-    StagedOp &Op = S->push();
-    Op.Kind = StagedOp::K::Forward;
-    Op.A = FromCore;
-    Op.B = ToCore;
-    Op.D = D;
-    return;
-  }
-  schedule(Net.routeForward(FromCore, ToCore, Cycle), D);
-}
-
-void Machine::routeBackwardAndSchedule(unsigned FromCore, unsigned ToCore,
-                                       const Delivery &D) {
-  if (ShardBuf *S = TlStage) {
-    StagedOp &Op = S->push();
-    Op.Kind = StagedOp::K::Backward;
-    Op.A = FromCore;
-    Op.B = ToCore;
-    Op.D = D;
-    return;
-  }
-  schedule(Net.routeBackward(FromCore, ToCore, Cycle), D);
-}
-
-void Machine::noteProgress() {
-  if (ShardBuf *S = TlStage) {
-    // S->Now is monotone within an epoch, so assignment keeps the max:
-    // the latest shard-local cycle that made progress.
-    S->ProgressCycle = S->Now;
-    return;
-  }
-  LastProgress = Cycle;
-}
-
-void Machine::noteGate(int Delta) {
-  if (ShardBuf *S = TlStage) {
-    S->GateDelta += Delta;
-    return;
-  }
-  GateCount = static_cast<uint64_t>(static_cast<int64_t>(GateCount) + Delta);
-}
-
-void Machine::noteSend(int Delta) {
-  if (ShardBuf *S = TlStage) {
-    S->SendDelta += Delta;
-    return;
-  }
-  SendCount = static_cast<uint64_t>(static_cast<int64_t>(SendCount) + Delta);
-}
-
-void Machine::noteAccess(bool Local) {
-  if (ShardBuf *S = TlStage) {
-    ++(Local ? S->LocalAcc : S->RemoteAcc);
-    return;
-  }
-  ++(Local ? LocalAccesses : RemoteAccesses);
-}
-
-void Machine::noteStall(unsigned CoreId, unsigned Slot) {
-  if (ShardBuf *S = TlStage) {
-    StagedOp &Op = S->push();
-    Op.Kind = StagedOp::K::Stall;
-    Op.A = CoreId;
-    Op.B = Slot;
-    return;
-  }
-  ++StallByCore[CoreId * NumStallSlots + Slot];
-}
-
-void Machine::noteRobHigh(unsigned HartId, unsigned Depth) {
-  if (Depth <= Obs->robHighWater(HartId))
-    return; // the merged high-water already covers this depth
-  if (ShardBuf *S = TlStage) {
-    StagedOp &Op = S->push();
-    Op.Kind = StagedOp::K::RobHigh;
-    Op.A = HartId;
-    Op.B = Depth;
-    return;
-  }
-  Obs->raiseRobHighWater(HartId, Depth);
-}
-
-void Machine::noteSlotHigh(unsigned HartId, unsigned Depth) {
-  if (Depth <= Obs->slotHighWater(HartId))
-    return;
-  if (ShardBuf *S = TlStage) {
-    StagedOp &Op = S->push();
-    Op.Kind = StagedOp::K::SlotHigh;
-    Op.A = HartId;
-    Op.B = Depth;
-    return;
-  }
-  Obs->raiseSlotHighWater(HartId, Depth);
-}
-
-bool Machine::runHalted() const {
-  if (const ShardBuf *S = TlStage)
-    if (S->Halted)
-      return true;
-  return Halted;
-}
-
-void Machine::wake(unsigned CoreId, uint64_t At) {
-  ShardBuf *S = TlStage;
-  if (S && (CoreId < S->CoreBegin || CoreId >= S->CoreEnd)) {
-    StagedOp &Op = S->push();
-    Op.Kind = StagedOp::K::Wake;
-    Op.A = CoreId;
-    Op.At = At;
-    return;
-  }
-  wakeCore(CoreId, At);
-}
 
 //===----------------------------------------------------------------------===//
 // Construction and loading
@@ -272,7 +90,6 @@ void Machine::load(const assembler::Program &Prog) {
   }
 
   predecodeText();
-  buildWindowClass();
 
   // Hart 0 of core 0 boots at the entry point holding the token, with
   // ra = 0 and t0 = -1 so a bare `p_ret` in main exits (Fig. 6's
@@ -310,44 +127,6 @@ void Machine::predecodeText() {
     DecodedText[W] = decodeTextWord(Mem.fetchWord(W * 4));
 }
 
-void Machine::buildWindowClass() {
-  // Hazard-lookahead table for the parallel engine's adaptive window
-  // planner (see Machine.h WinClass). Hazard-class instructions are the
-  // gate ops (whose issue reads cross-core state the same cycle) and
-  // p_swre (whose issue sends a cross-shard delivery that could arrive
-  // inside a window). Invalid words count as hazardous — conservative,
-  // and they only appear where the program is about to fault anyway.
-  // Skipped when the parallel engine can never run (the table is only
-  // read by its window planner).
-  if (Cfg.HostThreads <= 1)
-    return;
-  uint32_t Words = static_cast<uint32_t>(DecodedText.size());
-  auto Hazard = [](const isa::Instr &I) {
-    return !I.isValid() || isGateOp(I) || I.Op == Opcode::P_SWRE;
-  };
-  WinClass.assign(Words, 0);
-  for (uint32_t W = 0; W != Words; ++W) {
-    const isa::Instr &I = DecodedText[W];
-    if (Hazard(I))
-      continue; // 0
-    uint32_t Next;
-    if (I.Op == Opcode::JAL)
-      Next = (W * 4 + static_cast<uint32_t>(I.Imm)) / 4;
-    else if (I.nextPcKnownAtDecode())
-      Next = W + 1;
-    else {
-      // A branch/jalr publishes its target at issue or later; the
-      // successor's decode is then too late to issue inside any window
-      // this table admits.
-      WinClass[W] = 2;
-      continue;
-    }
-    bool NextBad = (I.Op == Opcode::JAL && (W * 4 + I.Imm) % 4 != 0) ||
-                   Next >= Words || Hazard(DecodedText[Next]);
-    WinClass[W] = NextBad ? 1 : 2;
-  }
-}
-
 void Machine::addDevice(uint32_t Base, uint32_t Size,
                         std::unique_ptr<IoDevice> Device) {
   assert(isIoAddr(Base) && "devices live in the I/O region");
@@ -365,15 +144,6 @@ IoDevice *Machine::findDevice(uint32_t Addr, uint32_t &Offset) {
 }
 
 void Machine::fault(std::string Msg) {
-  if (ShardBuf *S = TlStage) {
-    // A worker-observed fault: stage it (the merge decides whether it is
-    // reached in canonical order) and stop this shard's work.
-    StagedOp &Op = S->push();
-    Op.Kind = StagedOp::K::Fault;
-    Op.MsgIdx = S->internMsg(std::move(Msg));
-    S->Halted = true;
-    return;
-  }
   if (Status == RunStatus::Fault)
     return; // keep the first message
   Status = RunStatus::Fault;
@@ -408,10 +178,9 @@ void Machine::schedule(uint64_t At, Delivery D) {
   // fault plan corrupts below is caught by the checker at arrival.
   D.Parity = deliveryParity(D);
 
-  // Token-latency measurement opens here, at the canonical send cycle
-  // (schedule() only runs serially or at a merge). Delay faults below
-  // lengthen the measured latency; drops leave the entry open until the
-  // retried token closes it — deterministic either way.
+  // Token-latency measurement opens here, at the send cycle. Delay
+  // faults below lengthen the measured latency; drops leave the entry
+  // open until the retried token closes it — deterministic either way.
   if (D.K == Delivery::Kind::Token && Obs)
     Obs->noteTokenSend(D.HartId, Cycle);
 
@@ -501,42 +270,20 @@ void Machine::finishRb(Hart &H, uint32_t Value, uint64_t ReadyCycle) {
 }
 
 void Machine::deliver(const Delivery &D) {
-  const uint64_t Now = now();
   // Whatever this delivery enables, the target core can act on it this
   // very cycle (deliveries precede the stages), so wake it now.
-  wake(D.HartId / HartsPerCore, Now);
+  wakeCore(D.HartId / HartsPerCore, Cycle);
   if (Cfg.EnableCheckers) {
-    if (ShardBuf *S = TlStage) {
-      // Split checker: the global accounting is staged (its counters
-      // are shared), the per-delivery validation reads only the target
-      // hart — owned by this shard — and its verdict rides on the same
-      // op, so the merge replays accounting + report as one unit,
-      // exactly like the serial onDelivered.
-      StagedOp &Op = S->push();
-      Op.Kind = StagedOp::K::Account;
-      Op.Check = true; // serial checks Halted right after onDelivered
-      Op.D = D;
-      Checker::Violation V;
-      if (Ck.validateDelivered(*this, D, V)) {
-        Op.B = 1; // violation attached
-        Op.CheckK = V.Kind;
-        Op.A = V.Hart;
-        Op.MsgIdx = S->internMsg(std::move(V.Message));
-        S->Halted = true;
-        return; // a machine check stops the delivery from applying
-      }
-    } else {
-      Ck.onDelivered(*this, D);
-      if (Halted)
-        return; // a machine check stops the delivery from applying
-    }
+    Ck.onDelivered(*this, D);
+    if (Halted)
+      return; // a machine check stops the delivery from applying
   }
-  noteProgress();
+  LastProgress = Cycle;
   Hart &H = hart(D.HartId);
 
   switch (D.K) {
   case Delivery::Kind::RbFill:
-    finishRb(H, D.Value, Now);
+    finishRb(H, D.Value, Cycle);
     if (D.CountsMem) {
       assert(H.OutstandingMem > 0 && "memory op count underflow");
       --H.OutstandingMem;
@@ -563,31 +310,29 @@ void Machine::deliver(const Delivery &D) {
       unsigned Core = D.Value; // carries the owning core for local ops
       if (D.IsWrite) {
         Mem.writeLocal(Core, Rel, D.StoreWord, D.Width);
-        emit(EventKind::BankWrite, Addr, D.StoreWord);
-        stageOrSchedule(D.RespCycle,
-                        {Delivery::Kind::MemAck, D.HartId, 0, 0, 0,
-                         Addr & ~3u, 4, 0, false, false, false});
+        Tr.event(Cycle, EventKind::BankWrite, Addr, D.StoreWord);
+        schedule(D.RespCycle, {Delivery::Kind::MemAck, D.HartId, 0, 0, 0,
+                               Addr & ~3u, 4, 0, false, false, false});
       } else {
         Value = Mem.readLocal(Core, Rel, D.Width);
-        emit(EventKind::BankRead, Addr, Value);
+        Tr.event(Cycle, EventKind::BankRead, Addr, Value);
       }
     } else {
       assert(isGlobalAddr(Addr) && "bank access outside banked memory");
       if (Cfg.CollectMemLog)
-        MemLog.push_back({Now, JoinEpoch, D.HartId, Addr, D.Width,
+        MemLog.push_back({Cycle, JoinEpoch, D.HartId, Addr, D.Width,
                           D.IsWrite, D.HartId != 0 || Hart0InTeam});
       uint32_t Rel = Addr - GlobalBase;
       unsigned Bank = Rel >> Cfg.GlobalBankSizeLog2;
       uint32_t Off = Rel & (Cfg.globalBankSize() - 1);
       if (D.IsWrite) {
         Mem.writeGlobal(Bank, Off, D.StoreWord, D.Width);
-        emit(EventKind::BankWrite, Addr, D.StoreWord);
-        stageOrSchedule(D.RespCycle,
-                        {Delivery::Kind::MemAck, D.HartId, 0, 0, 0,
-                         Addr & ~3u, 4, 0, false, false, false});
+        Tr.event(Cycle, EventKind::BankWrite, Addr, D.StoreWord);
+        schedule(D.RespCycle, {Delivery::Kind::MemAck, D.HartId, 0, 0, 0,
+                               Addr & ~3u, 4, 0, false, false, false});
       } else {
         Value = Mem.readGlobal(Bank, Off, D.Width);
-        emit(EventKind::BankRead, Addr, Value);
+        Tr.event(Cycle, EventKind::BankRead, Addr, Value);
       }
     }
     if (!D.IsWrite) {
@@ -596,9 +341,8 @@ void Machine::deliver(const Delivery &D) {
         Value = static_cast<uint32_t>(
             static_cast<int32_t>(Value << Shift) >> Shift);
       }
-      stageOrSchedule(D.RespCycle,
-                      {Delivery::Kind::RbFill, D.HartId, Value, 0, 0, 0, 4,
-                       0, false, false, true});
+      schedule(D.RespCycle, {Delivery::Kind::RbFill, D.HartId, Value, 0, 0,
+                             0, 4, 0, false, false, true});
     }
     return;
   }
@@ -630,7 +374,7 @@ void Machine::deliver(const Delivery &D) {
 
   case Delivery::Kind::Token:
     H.Token = true;
-    emit(EventKind::TokenPass, D.Value, D.HartId);
+    Tr.event(Cycle, EventKind::TokenPass, D.Value, D.HartId);
     return;
 
   case Delivery::Kind::JoinMsg:
@@ -641,18 +385,15 @@ void Machine::deliver(const Delivery &D) {
       return;
     }
     H.State = HartState::Running;
-    H.StateSince = Now;
+    H.StateSince = Cycle;
     H.Pc = D.Value;
     H.PcValid = true;
-    H.NoFetchUntil = Now + 1;
+    H.NoFetchUntil = Cycle + 1;
     H.Token = true;
-    emit(EventKind::Join, D.HartId, D.Value);
+    Tr.event(Cycle, EventKind::Join, D.HartId, D.Value);
     // A join completes a team barrier: accesses on opposite sides can
     // never race, which is what the mem-log epoch encodes.
-    if (ShardBuf *S = TlStage)
-      ++S->JoinEpochDelta;
-    else
-      ++JoinEpoch;
+    ++JoinEpoch;
     if (D.HartId == 0)
       Hart0InTeam = false;
     return;
@@ -660,7 +401,7 @@ void Machine::deliver(const Delivery &D) {
   case Delivery::Kind::SlotFill:
     fillSlot(H, D.Slot, D.Value);
     if (Obs)
-      noteSlotHigh(D.HartId, slotOccupancy(H));
+      Obs->raiseSlotHighWater(D.HartId, slotOccupancy(H));
     return;
   }
   LBP_UNREACHABLE("unknown delivery kind");
@@ -671,9 +412,6 @@ void Machine::deliver(const Delivery &D) {
 //===----------------------------------------------------------------------===//
 
 int Machine::allocateHart(unsigned CoreId, unsigned ByHart) {
-  // Only the gate ops (p_fc/p_fn/fork-calls) allocate, so this always
-  // runs in reference order — never under a shard worker.
-  assert(!TlStage && "hart allocation under a shard worker");
   Core &C = Cores[CoreId];
   for (unsigned K = 0; K != HartsPerCore; ++K) {
     unsigned H = (C.AllocRR + K) % HartsPerCore;
@@ -696,7 +434,6 @@ int Machine::allocateHart(unsigned CoreId, unsigned ByHart) {
 }
 
 void Machine::startHart(unsigned HartId, uint32_t StartPc) {
-  const uint64_t Now = now();
   Hart &H = hart(HartId);
   if (H.State != HartState::Reserved) {
     fault(formatString("start message reached hart %u which is not "
@@ -709,25 +446,17 @@ void Machine::startHart(unsigned HartId, uint32_t StartPc) {
     R = 0;
   H.Regs[RegSP] = Sp;
   H.State = HartState::Running;
-  H.StateSince = Now;
+  H.StateSince = Cycle;
   H.Pc = StartPc;
   H.PcValid = true;
-  H.NoFetchUntil = Now + 1;
-  noteProgress();
-  emit(EventKind::HartStart, HartId, StartPc);
+  H.NoFetchUntil = Cycle + 1;
+  LastProgress = Cycle;
+  Tr.event(Cycle, EventKind::HartStart, HartId, StartPc);
 }
 
 void Machine::freeHart(unsigned HartId) {
-  const uint64_t Now = now();
   Hart &H = hart(HartId);
-  emit(EventKind::HartEnd, HartId);
-  // Gate and send ops decoded but never performed die with the hart;
-  // settle their contribution to the global counts before the reset
-  // wipes them.
-  if (H.PendingGateOps != 0)
-    noteGate(-static_cast<int>(H.PendingGateOps));
-  if (H.PendingSendOps != 0)
-    noteSend(-static_cast<int>(H.PendingSendOps));
+  Tr.event(Cycle, EventKind::HartEnd, HartId);
   H.clearForFree();
   // A freed hart un-blocks p_fc retries on this core and p_fn retries
   // on the previous one. This core's own issue stage runs later this
@@ -735,9 +464,9 @@ void Machine::freeHart(unsigned HartId) {
   // already ran, so its retry lands next cycle — exactly when the
   // reference path would succeed.
   unsigned CoreId = HartId / HartsPerCore;
-  wake(CoreId, Now + 1);
+  wakeCore(CoreId, Cycle + 1);
   if (CoreId != 0)
-    wake(CoreId - 1, Now + 1);
+    wakeCore(CoreId - 1, Cycle + 1);
 }
 
 void Machine::sendToken(unsigned FromHart, unsigned ToHart) {
@@ -754,10 +483,9 @@ void Machine::sendToken(unsigned FromHart, unsigned ToHart) {
                        FromHart, ToHart));
     return;
   }
-  routeForwardAndSchedule(FromCore, ToCore,
-                          {Delivery::Kind::Token,
-                           static_cast<uint16_t>(ToHart), FromHart, 0, 0, 0,
-                           4, 0, false, false, false});
+  schedule(Net.routeForward(FromCore, ToCore, Cycle),
+           {Delivery::Kind::Token, static_cast<uint16_t>(ToHart), FromHart,
+            0, 0, 0, 4, 0, false, false, false});
 }
 
 //===----------------------------------------------------------------------===//
@@ -778,28 +506,12 @@ static bool retCommittable(const Hart &H, uint32_t Ra, uint32_t T0,
 
 void Machine::commitRet(unsigned CoreId, unsigned HartInCore, Hart &H,
                         RobEntry &E) {
-  const uint64_t Now = now();
   unsigned SelfId = hartId(CoreId, HartInCore);
   uint32_t Ra = E.SrcVal[0];
   uint32_t T0 = E.SrcVal[1];
 
-  // The ret's send (token / join / exit) happens here: it no longer
-  // holds a window open.
-  assert(H.PendingSendOps != 0 && "p_ret commit without a pending send");
-  --H.PendingSendOps;
-  noteSend(-1);
-
   // Type 1: exit the process.
   if (Ra == 0 && T0 == HartRefExit) {
-    if (ShardBuf *S = TlStage) {
-      // Status flip + Exit event replay as one op, so the merge's
-      // stop-on-halt never separates them.
-      StagedOp &Op = S->push();
-      Op.Kind = StagedOp::K::Exit;
-      Op.A = SelfId;
-      S->Halted = true;
-      return;
-    }
     Halted = true;
     Status = RunStatus::Exited;
     Tr.event(Cycle, EventKind::Exit, SelfId);
@@ -821,7 +533,7 @@ void Machine::commitRet(unsigned CoreId, unsigned HartInCore, Hart &H,
     H.Token = false;
     sendToken(SelfId, Succ);
     H.State = HartState::WaitingJoin;
-    H.StateSince = Now;
+    H.StateSince = Cycle;
     H.PcValid = false;
     return;
   }
@@ -838,7 +550,7 @@ void Machine::commitRet(unsigned CoreId, unsigned HartInCore, Hart &H,
     // Type 4: sequential return-to-self (keeps the token if any).
     H.Pc = Ra;
     H.PcValid = true;
-    H.NoFetchUntil = Now + 1;
+    H.NoFetchUntil = Cycle + 1;
     return;
   }
 
@@ -851,16 +563,14 @@ void Machine::commitRet(unsigned CoreId, unsigned HartInCore, Hart &H,
                        SelfId, Join));
     return;
   }
-  routeBackwardAndSchedule(CoreId, JoinCore,
-                           {Delivery::Kind::JoinMsg,
-                            static_cast<uint16_t>(Join), Ra, 0, 0, 0, 4, 0,
-                            false, false, false});
+  schedule(Net.routeBackward(CoreId, JoinCore, Cycle),
+           {Delivery::Kind::JoinMsg, static_cast<uint16_t>(Join), Ra, 0, 0,
+            0, 4, 0, false, false, false});
   H.Token = false;
   freeHart(SelfId);
 }
 
 bool Machine::stageCommit(unsigned CoreId) {
-  const uint64_t Now = now();
   Core &C = Cores[CoreId];
   for (unsigned K = 0; K != HartsPerCore; ++K) {
     unsigned HIdx = (C.CommitRR + K) % HartsPerCore;
@@ -868,7 +578,7 @@ bool Machine::stageCommit(unsigned CoreId) {
     if (H.RobCount == 0)
       continue;
     RobEntry &E = H.Rob[H.RobHead];
-    if (E.State != RobEntry::St::Done || E.DoneCycle > Now)
+    if (E.State != RobEntry::St::Done || E.DoneCycle > Cycle)
       continue;
 
     bool IsRet = E.I.Op == Opcode::P_JALR && E.I.Rd == 0;
@@ -878,18 +588,10 @@ bool Machine::stageCommit(unsigned CoreId) {
       continue;
 
     C.CommitRR = (HIdx + 1) % HartsPerCore;
-    noteProgress();
+    LastProgress = Cycle;
     ++H.Retired;
-    if (ShardBuf *S = TlStage) {
-      // TotalRetired is a fingerprint observable: staged next to its
-      // Commit event so retirements canonically after a fault/exit are
-      // discarded with it, exactly like the serial loop.
-      StagedOp &Op = S->push();
-      Op.Kind = StagedOp::K::Retire;
-    } else {
-      ++TotalRetired;
-    }
-    emit(EventKind::Commit, hartId(CoreId, HIdx), E.Pc);
+    ++TotalRetired;
+    Tr.event(Cycle, EventKind::Commit, hartId(CoreId, HIdx), E.Pc);
 
     // Pop before the ret actions: freeing or parking the hart resets or
     // abandons the ROB.
@@ -909,12 +611,11 @@ bool Machine::stageCommit(unsigned CoreId) {
 //===----------------------------------------------------------------------===//
 
 bool Machine::stageWriteback(unsigned CoreId) {
-  const uint64_t Now = now();
   Core &C = Cores[CoreId];
   for (unsigned K = 0; K != HartsPerCore; ++K) {
     unsigned HIdx = (C.WbRR + K) % HartsPerCore;
     Hart &H = C.Harts[HIdx];
-    if (!H.RbBusy || !H.RbReady || H.RbReadyCycle > Now)
+    if (!H.RbBusy || !H.RbReady || H.RbReadyCycle > Cycle)
       continue;
 
     C.WbRR = (HIdx + 1) % HartsPerCore;
@@ -947,7 +648,7 @@ bool Machine::stageWriteback(unsigned CoreId) {
     }
 
     E.State = RobEntry::St::Done;
-    E.DoneCycle = Now;
+    E.DoneCycle = Cycle;
     H.RbBusy = false;
     H.RbReady = false;
     H.RbEntry = -1;
@@ -1010,19 +711,13 @@ bool Machine::stageIssue(unsigned CoreId) {
         continue;
       if (!extraIssueConditions(*this, H, E))
         continue;
-      bool WasGate = isGateOp(E.I);
       if (tryIssue(CoreId, HIdx, Idx)) {
-        if (WasGate) {
-          assert(H.PendingGateOps != 0 && "gate count underflow");
-          --H.PendingGateOps;
-          noteGate(-1);
-        }
         C.IssueRR = (HIdx + 1) % HartsPerCore;
         if (Cfg.CollectStallStats)
-          noteStall(CoreId, IssuedSlot);
+          ++StallByCore[CoreId * NumStallSlots + IssuedSlot];
         return true;
       }
-      if (runHalted())
+      if (Halted)
         return false;
     }
   }
@@ -1063,12 +758,11 @@ void Machine::classifyIssueStall(unsigned CoreId) {
     Cause = StallCause::OperandsNotReady;
   else if (SawInFlight)
     Cause = StallCause::WaitingResponse;
-  noteStall(CoreId, static_cast<unsigned>(Cause));
+  ++StallByCore[CoreId * NumStallSlots + static_cast<unsigned>(Cause)];
 }
 
 bool Machine::tryIssue(unsigned CoreId, unsigned HartInCore,
                        unsigned RobIdx) {
-  const uint64_t Now = now();
   Hart &H = Cores[CoreId].Harts[HartInCore];
   RobEntry &E = H.Rob[RobIdx];
   const isa::Instr &I = E.I;
@@ -1087,7 +781,7 @@ bool Machine::tryIssue(unsigned CoreId, unsigned HartInCore,
   };
   auto FinishNoResult = [&](unsigned Lat) {
     E.State = RobEntry::St::Done;
-    E.DoneCycle = Now + Lat;
+    E.DoneCycle = Cycle + Lat;
   };
 
   switch (Info.Class) {
@@ -1098,16 +792,16 @@ bool Machine::tryIssue(unsigned CoreId, unsigned HartInCore,
     // pure evaluator cannot see. Reading at issue keeps them
     // deterministic (issue timing is deterministic).
     if (I.Op == Opcode::RDCYCLE) {
-      GrabRb(static_cast<uint32_t>(Now), Now + Cfg.AluLatency);
+      GrabRb(static_cast<uint32_t>(Cycle), Cycle + Cfg.AluLatency);
       return true;
     }
     if (I.Op == Opcode::RDINSTRET) {
-      GrabRb(static_cast<uint32_t>(H.Retired), Now + Cfg.AluLatency);
+      GrabRb(static_cast<uint32_t>(H.Retired), Cycle + Cfg.AluLatency);
       return true;
     }
     uint32_t Value = evalOp(I, A, B, E.Pc);
     if (I.writesReg())
-      GrabRb(Value, Now + latencyFor(Cfg, Info.Class));
+      GrabRb(Value, Cycle + latencyFor(Cfg, Info.Class));
     else
       FinishNoResult(latencyFor(Cfg, Info.Class));
     return true;
@@ -1117,7 +811,7 @@ bool Machine::tryIssue(unsigned CoreId, unsigned HartInCore,
     bool Taken = evalBranch(I.Op, A, B);
     H.Pc = E.Pc + (Taken ? static_cast<uint32_t>(I.Imm) : 4u);
     H.PcValid = true;
-    H.NoFetchUntil = Now + Cfg.AluLatency;
+    H.NoFetchUntil = Cycle + Cfg.AluLatency;
     FinishNoResult(Cfg.AluLatency);
     return true;
   }
@@ -1126,11 +820,11 @@ bool Machine::tryIssue(unsigned CoreId, unsigned HartInCore,
     if (I.Op == Opcode::JALR) {
       H.Pc = (A + static_cast<uint32_t>(I.Imm)) & ~1u;
       H.PcValid = true;
-      H.NoFetchUntil = Now + Cfg.AluLatency;
+      H.NoFetchUntil = Cycle + Cfg.AluLatency;
     }
     // JAL resolved its target at decode; both produce the link value.
     if (I.writesReg())
-      GrabRb(E.Pc + 4, Now + Cfg.AluLatency);
+      GrabRb(E.Pc + 4, Cycle + Cfg.AluLatency);
     else
       FinishNoResult(Cfg.AluLatency);
     return true;
@@ -1152,7 +846,6 @@ bool Machine::issueMemOp(unsigned CoreId, unsigned HartInCore, Hart &H,
                          RobEntry &E, unsigned RobIdx) {
   const isa::Instr &I = E.I;
   unsigned SelfId = hartId(CoreId, HartInCore);
-  const uint64_t Now = now();
 
   // Decode access shape.
   unsigned Width = 4;
@@ -1233,28 +926,21 @@ bool Machine::issueMemOp(unsigned CoreId, unsigned HartInCore, Hart &H,
   }
 
   // Classify the destination. Local accesses have a closed-form timing;
-  // global and I/O accesses need a path reservation, which is deferred
-  // behind a MemIntent: the hart-visible transition below never depends
-  // on the route outcome (routing decides only when the delivery
-  // fires), so a shard worker can apply the hart effects now and leave
-  // the reservation to the canonical-order merge.
+  // global and I/O accesses reserve a path through the router tree.
   uint64_t AccessCycle = 0, RespCycle = 0;
   bool IsIo = false;
   bool IsLocal = false;
   unsigned Bank = 0;
   if (isLocalAddr(Addr)) {
-    // p_swcv to the next core rides the forward link; it is a gate op,
-    // so this reservation always runs in reference order.
-    assert((I.Op != Opcode::P_SWCV || !TlStage) &&
-           "p_swcv issued under a shard worker");
+    // p_swcv to the next core rides the forward link.
     uint64_t Extra =
         I.Op == Opcode::P_SWCV && LocalCore != CoreId
-            ? Net.routeForward(CoreId, LocalCore, Now) - Now
+            ? Net.routeForward(CoreId, LocalCore, Cycle) - Cycle
             : 0;
-    AccessCycle = Now + Extra + 1;
-    RespCycle = Now + Extra + Cfg.LocalMemLatency;
+    AccessCycle = Cycle + Extra + 1;
+    RespCycle = Cycle + Extra + Cfg.LocalMemLatency;
     IsLocal = true;
-    noteAccess(true);
+    ++LocalAccesses;
   } else if (isGlobalAddr(Addr)) {
     uint32_t Rel = Addr - GlobalBase;
     Bank = Rel >> Cfg.GlobalBankSizeLog2;
@@ -1264,7 +950,7 @@ bool Machine::issueMemOp(unsigned CoreId, unsigned HartInCore, Hart &H,
                          Addr, SelfId, E.Pc));
       return false;
     }
-    noteAccess(Bank == CoreId);
+    ++(Bank == CoreId ? LocalAccesses : RemoteAccesses);
   } else if (isIoAddr(Addr)) {
     IsIo = true;
   } else if (isCodeAddr(Addr) && !IsWrite) {
@@ -1283,7 +969,7 @@ bool Machine::issueMemOp(unsigned CoreId, unsigned HartInCore, Hart &H,
     H.RbBusy = true;
     H.RbReady = true;
     H.RbValue = Value;
-    H.RbReadyCycle = Now + Cfg.LocalMemLatency;
+    H.RbReadyCycle = Cycle + Cfg.LocalMemLatency;
     H.RbEntry = static_cast<int>(RobIdx);
     E.State = RobEntry::St::Issued;
     return true;
@@ -1299,7 +985,7 @@ bool Machine::issueMemOp(unsigned CoreId, unsigned HartInCore, Hart &H,
     ++H.OutstandingMem;
     H.PendingStoreWords.push_back(Addr & ~3u);
     E.State = RobEntry::St::Done;
-    E.DoneCycle = Now + Cfg.AluLatency;
+    E.DoneCycle = Cycle + Cfg.AluLatency;
   } else {
     H.RbBusy = true;
     H.RbReady = false;
@@ -1308,61 +994,18 @@ bool Machine::issueMemOp(unsigned CoreId, unsigned HartInCore, Hart &H,
     E.State = RobEntry::St::Issued;
   }
 
-  if (IsLocal) {
-    RespCycle = std::max(RespCycle, AccessCycle + 1);
-    Delivery D;
-    D.K = Delivery::Kind::BankAccess;
-    D.HartId = static_cast<uint16_t>(SelfId);
-    D.Addr = Addr;
-    D.Width = static_cast<uint8_t>(Width);
-    D.SignExt = SignExt;
-    D.IsWrite = IsWrite;
-    D.RespCycle = RespCycle;
-    D.Value = LocalCore; // owning core for local-bank accesses
-    if (IsWrite)
-      D.StoreWord = Data;
-    stageOrSchedule(AccessCycle, D);
-    return true;
-  }
-
-  MemIntent In;
-  In.Addr = Addr;
-  In.Data = Data;
-  In.SelfId = static_cast<uint16_t>(SelfId);
-  In.CoreId = static_cast<uint16_t>(CoreId);
-  In.Bank = static_cast<uint16_t>(Bank);
-  In.Width = static_cast<uint8_t>(Width);
-  In.SignExt = SignExt;
-  In.IsWrite = IsWrite;
-  In.IsIo = IsIo;
-  if (ShardBuf *S = TlStage) {
-    StagedOp &Op = S->push();
-    Op.Kind = StagedOp::K::Mem;
-    Op.MI = In;
-  } else {
-    routeAndScheduleMem(In);
-  }
-  return true;
-}
-
-void Machine::routeAndScheduleMem(const MemIntent &In) {
-  uint64_t AccessCycle, RespCycle;
-  if (In.IsIo) {
-    Interconnect::GlobalPath Path = Net.routeIo(Cycle);
+  if (!IsLocal) {
+    Interconnect::GlobalPath Path = IsIo
+                                        ? Net.routeIo(Cycle)
+                                        : Net.routeGlobal(CoreId, Bank, Cycle);
     AccessCycle = Path.BankCycle;
     RespCycle = Path.ResponseCycle;
-  } else {
-    Interconnect::GlobalPath Path =
-        Net.routeGlobal(In.CoreId, In.Bank, Cycle);
-    AccessCycle = Path.BankCycle;
-    RespCycle = Path.ResponseCycle;
-    if (FPlan.enabled()) {
+    if (!IsIo && FPlan.enabled()) {
       bool NewlyFired = false;
-      uint64_t Stall =
-          FPlan.stuckBankStall(In.Bank, AccessCycle, NewlyFired);
+      uint64_t Stall = FPlan.stuckBankStall(Bank, AccessCycle, NewlyFired);
       if (NewlyFired)
         Tr.event(Cycle, EventKind::FaultInject,
-                 static_cast<uint64_t>(FaultKind::StuckBank), In.Bank);
+                 static_cast<uint64_t>(FaultKind::StuckBank), Bank);
       AccessCycle += Stall;
       RespCycle += Stall;
     }
@@ -1370,24 +1013,26 @@ void Machine::routeAndScheduleMem(const MemIntent &In) {
   RespCycle = std::max(RespCycle, AccessCycle + 1);
 
   Delivery D;
-  D.K = In.IsIo ? Delivery::Kind::IoAccess : Delivery::Kind::BankAccess;
-  D.HartId = In.SelfId;
-  D.Addr = In.Addr;
-  D.Width = In.Width;
-  D.SignExt = In.SignExt;
-  D.IsWrite = In.IsWrite;
+  D.K = IsIo ? Delivery::Kind::IoAccess : Delivery::Kind::BankAccess;
+  D.HartId = static_cast<uint16_t>(SelfId);
+  D.Addr = Addr;
+  D.Width = static_cast<uint8_t>(Width);
+  D.SignExt = SignExt;
+  D.IsWrite = IsWrite;
   D.RespCycle = RespCycle;
-  D.Value = In.CoreId; // == the owning core only for local accesses
-  if (In.IsWrite)
-    D.StoreWord = In.Data;
+  // The owning core of a local-bank access (the requesting core for
+  // global and I/O accesses, where it is unused).
+  D.Value = IsLocal ? LocalCore : CoreId;
+  if (IsWrite)
+    D.StoreWord = Data;
   schedule(AccessCycle, D);
+  return true;
 }
 
 bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
                         RobEntry &E, unsigned RobIdx) {
   const isa::Instr &I = E.I;
   unsigned SelfId = hartId(CoreId, HartInCore);
-  const uint64_t Now = now();
   uint32_t A = E.SrcVal[0];
   uint32_t B = E.SrcVal[1];
 
@@ -1403,25 +1048,25 @@ bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
 
   switch (I.Op) {
   case Opcode::P_SET:
-    GrabRb(hartRefSet(A, SelfId), Now + Cfg.AluLatency);
+    GrabRb(hartRefSet(A, SelfId), Cycle + Cfg.AluLatency);
     return true;
 
   case Opcode::P_MERGE:
-    GrabRb(hartRefMerge(A, B), Now + Cfg.AluLatency);
+    GrabRb(hartRefMerge(A, B), Cycle + Cfg.AluLatency);
     return true;
 
   case Opcode::P_SYNCM:
     // The fetch block was raised at decode; the instruction itself is a
     // one-cycle no-op in the window.
     E.State = RobEntry::St::Done;
-    E.DoneCycle = Now + Cfg.AluLatency;
+    E.DoneCycle = Cycle + Cfg.AluLatency;
     return true;
 
   case Opcode::P_FC: {
     int Target = allocateHart(CoreId, SelfId);
     if (Target < 0)
       return false; // retry when a hart frees up
-    GrabRb(static_cast<uint32_t>(Target), Now + Cfg.AluLatency);
+    GrabRb(static_cast<uint32_t>(Target), Cycle + Cfg.AluLatency);
     return true;
   }
 
@@ -1436,7 +1081,7 @@ bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
     if (Target < 0)
       return false;
     GrabRb(static_cast<uint32_t>(Target),
-           Now + 1 + 2 * Cfg.ForwardLinkLatency);
+           Cycle + 1 + 2 * Cfg.ForwardLinkLatency);
     return true;
   }
 
@@ -1446,12 +1091,11 @@ bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
     if (IsRet) {
       // Ending protocol: values captured, decision at commit.
       E.State = RobEntry::St::Done;
-      E.DoneCycle = Now + Cfg.AluLatency;
+      E.DoneCycle = Cycle + Cfg.AluLatency;
       return true;
     }
     // Fork-calls read the target hart's state (possibly on the next
-    // core); they are gate ops, so this always runs in reference order.
-    assert(!TlStage && "fork-call issued under a shard worker");
+    // core).
     uint32_t Target = hartRefSuccessor(A);
     if (Target >= Cfg.numHarts()) {
       fault(formatString("fork-call on hart %u targets nonexistent hart "
@@ -1472,7 +1116,7 @@ bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
                          SelfId, Target));
       return false;
     }
-    uint64_t Arrive = Net.routeForward(CoreId, TargetCore, Now);
+    uint64_t Arrive = Net.routeForward(CoreId, TargetCore, Cycle);
     schedule(Arrive,
              {Delivery::Kind::StartHart, static_cast<uint16_t>(Target),
               E.Pc + 4, 0, 0, 0, 4, 0, false, false, false});
@@ -1480,9 +1124,9 @@ bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
     if (I.Op == Opcode::P_JALR) {
       H.Pc = B;
       H.PcValid = true;
-      H.NoFetchUntil = Now + Cfg.AluLatency;
+      H.NoFetchUntil = Cycle + Cfg.AluLatency;
     }
-    GrabRb(0, Now + Cfg.AluLatency); // "clear rd"
+    GrabRb(0, Cycle + Cfg.AluLatency); // "clear rd"
     return true;
   }
 
@@ -1507,14 +1151,9 @@ bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
     D.HartId = static_cast<uint16_t>(Target);
     D.Value = B;
     D.Slot = static_cast<uint8_t>(Slot);
-    routeBackwardAndSchedule(CoreId, TargetCore, D);
-    // The send happened: this p_swre no longer blocks multi-cycle
-    // windows (decode armed the counter, see stageDecode).
-    assert(H.PendingSendOps != 0 && "p_swre issue without a pending send");
-    --H.PendingSendOps;
-    noteSend(-1);
+    schedule(Net.routeBackward(CoreId, TargetCore, Cycle), D);
     E.State = RobEntry::St::Done;
-    E.DoneCycle = Now + Cfg.AluLatency;
+    E.DoneCycle = Cycle + Cfg.AluLatency;
     return true;
   }
 
@@ -1537,7 +1176,7 @@ bool Machine::issueXPar(unsigned CoreId, unsigned HartInCore, Hart &H,
         break;
       }
     }
-    GrabRb(Value, Now + Cfg.AluLatency);
+    GrabRb(Value, Cycle + Cfg.AluLatency);
     return true;
   }
 
@@ -1610,26 +1249,8 @@ bool Machine::stageDecode(unsigned CoreId) {
 
     ++H.RobCount;
     if (Obs)
-      noteRobHigh(hartId(CoreId, HIdx), H.RobCount);
+      Obs->raiseRobHighWater(hartId(CoreId, HIdx), H.RobCount);
     H.IbFull = false;
-
-    // Decoding a cross-core-sensitive op arms the serial gate for the
-    // next cycle: issue precedes decode in the stage order, so this op
-    // cannot issue before the gate is merged at the coming barrier.
-    if (isGateOp(I)) {
-      ++H.PendingGateOps;
-      noteGate(+1);
-    }
-
-    // Send-class ops (p_swre, p_ret) arm the multi-cycle window block
-    // the same way: until the send is performed (p_swre issue / p_ret
-    // commit) a cross-shard arrival could land inside a window, so the
-    // parallel engine stays on one-cycle windows while any is in flight.
-    if (I.Op == Opcode::P_SWRE ||
-        (I.Op == Opcode::P_JALR && I.Rd == 0)) {
-      ++H.PendingSendOps;
-      noteSend(+1);
-    }
 
     // Resolve the next pc when it is known at decode.
     if (I.Op == Opcode::JAL || I.Op == Opcode::P_JAL) {
@@ -1653,7 +1274,6 @@ bool Machine::stageDecode(unsigned CoreId) {
 
 bool Machine::stageFetch(unsigned CoreId) {
   Core &C = Cores[CoreId];
-  const uint64_t Now = now();
 
   // Clear satisfied p_syncm fetch blocks first. Not an "action" for the
   // fast path: the enabling edge (OutstandingMem hitting zero) is a
@@ -1667,7 +1287,7 @@ bool Machine::stageFetch(unsigned CoreId) {
     unsigned HIdx = (C.FetchRR + K) % HartsPerCore;
     Hart &H = C.Harts[HIdx];
     if (H.State != HartState::Running || !H.PcValid || H.IbFull ||
-        H.SyncmWait || H.NoFetchUntil > Now)
+        H.SyncmWait || H.NoFetchUntil > Cycle)
       continue;
     if (!isCodeAddr(H.Pc)) {
       fault(formatString("fetch outside the code bank at 0x%08x (hart "
@@ -1734,7 +1354,7 @@ uint64_t Machine::nextDeliveryCycle() const {
   return Next;
 }
 
-bool Machine::cycleStagesSerial() {
+bool Machine::cycleStages() {
   bool Acted = false;
   for (unsigned CoreId = 0; CoreId != Cfg.NumCores; ++CoreId) {
     Core &C = Cores[CoreId];
@@ -1770,40 +1390,16 @@ bool Machine::cycleStagesSerial() {
   return Acted;
 }
 
-unsigned Machine::effectiveHostThreads() const {
-  if (Cfg.OversubscribeHost)
-    return Cfg.HostThreads;
-  unsigned Hw = std::thread::hardware_concurrency();
-  if (Hw == 0) // unknown host: trust the configuration
-    return Cfg.HostThreads;
-  return std::min(Cfg.HostThreads, Hw);
-}
-
 RunStatus Machine::run(uint64_t MaxCycles) {
   if (Status == RunStatus::Fault)
     return Status;
-  if (parallelEligible()) {
-    Engine = EngineKind::Parallel;
-    armPerturb();
-    RunStatus S = runParallel(MaxCycles);
-    Tr.flushDigests(Cycle);
-    return S;
-  }
   Engine = FastRun ? EngineKind::FastPath : EngineKind::Reference;
   armPerturb();
-  if (Cfg.HostThreads > 1 && EngineNote.empty()) {
-    if (Cfg.CollectMemLog)
-      EngineNote =
-          "HostThreads > 1 ignored: SimConfig::CollectMemLog forces the "
-          "single-threaded reference access order; clear CollectMemLog "
-          "to re-enable the parallel engine";
-    else
-      EngineNote = formatString(
-          "HostThreads = %u clamped to the host's hardware concurrency "
-          "(%u); set SimConfig::OversubscribeHost to force real shard "
-          "workers anyway",
-          Cfg.HostThreads, std::thread::hardware_concurrency());
-  }
+  if (Cfg.HostThreads > 1)
+    EngineNote = formatString(
+        "SimConfig::HostThreads = %u ignored: the sharded parallel engine "
+        "was removed, every run uses one host thread",
+        Cfg.HostThreads);
   Status = RunStatus::MaxCycles;
   Halted = false;
   uint64_t Budget = MaxCycles;
@@ -1823,7 +1419,7 @@ RunStatus Machine::run(uint64_t MaxCycles) {
     if (Halted)
       break;
 
-    bool Acted = cycleStagesSerial();
+    bool Acted = cycleStages();
     if (Halted)
       break;
 
@@ -1882,17 +1478,13 @@ RunStatus Machine::run(uint64_t MaxCycles) {
 }
 
 /// Arms the PerturbForTest divergence seed for this run. The payload
-/// encodes the *host-side* identity of the run — selected engine and
-/// requested HostThreads — so two runs that the determinism guarantee
-/// would make bit-identical diverge at exactly Cfg.PerturbForTest.
-/// Requested (not effective) threads, so parallel t1 x t4 diverges even
-/// on a host whose concurrency clamps both to the same worker count.
+/// encodes the *host-side* identity of the run — the selected engine —
+/// so two runs that the determinism guarantee would make bit-identical
+/// diverge at exactly Cfg.PerturbForTest.
 void Machine::armPerturb() {
   if (Cfg.PerturbForTest == 0 || Tr.perturbFired())
     return;
-  uint64_t Payload = (static_cast<uint64_t>(Engine) << 16) |
-                     (Cfg.HostThreads & 0xffff);
-  Tr.setPerturb(Cfg.PerturbForTest, Payload);
+  Tr.setPerturb(Cfg.PerturbForTest, static_cast<uint64_t>(Engine) << 16);
 }
 
 //===----------------------------------------------------------------------===//
@@ -2010,8 +1602,6 @@ const char *Machine::engineName() const {
     return "reference";
   case EngineKind::FastPath:
     return "fastpath";
-  case EngineKind::Parallel:
-    return "parallel";
   }
   return "?";
 }

@@ -83,28 +83,6 @@ struct Delivery {
   uint8_t Parity = 0;     ///< Link parity, set by Machine::schedule().
 };
 
-/// A shared-memory access whose interconnect routing the parallel
-/// engine's shard workers defer to the epoch merge: the hart-visible
-/// state transition of a memory op never depends on the route outcome
-/// (routing decides only *when* the Bank/IoAccess delivery fires), so a
-/// worker applies the hart effects immediately and stages this intent.
-/// The merge replays intents in the canonical core order, reproducing
-/// the serial loop's link-reservation and fault-injection order exactly.
-struct MemIntent {
-  uint32_t Addr = 0;
-  uint32_t Data = 0;       ///< Store payload.
-  uint16_t SelfId = 0;     ///< Requesting hart.
-  uint16_t CoreId = 0;     ///< Requesting core (route source).
-  uint16_t Bank = 0;       ///< Global bank (unused for I/O).
-  uint8_t Width = 4;
-  bool SignExt = false;
-  bool IsWrite = false;
-  bool IsIo = false;
-};
-
-struct ShardBuf; // per-shard staging buffer (ParallelEngine.h)
-struct ParEngine;
-
 class Machine {
 public:
   explicit Machine(const SimConfig &Config);
@@ -134,7 +112,7 @@ public:
   /// Restores a saveSnapshot() blob into this machine. The machine must
   /// have been constructed with a behaviorally identical SimConfig (a
   /// config digest in the blob is verified; host-only knobs — FastPath,
-  /// HostThreads, trace recording — may differ) and the same devices
+  /// trace recording — may differ) and the same devices
   /// added in the same order. On success the machine continues exactly
   /// where the snapshot was taken: running it to completion yields the
   /// same trace hash, cycle count and counter snapshot as the
@@ -169,26 +147,8 @@ public:
   uint64_t contentionCycles() const { return Net.contentionCycles(); }
   const Interconnect &interconnect() const { return Net; }
 
-  /// The classical single-hop lookahead derived from the latency table
-  /// (minCrossCoreLatency), optionally tightened by
-  /// SimConfig::EpochOverride; 1 with the shipped latencies. Kept as a
-  /// reported diagnostic. The parallel engine's adaptive windows use a
-  /// sharper bound — the minimum latency of any cross-shard arrival a
-  /// window can *produce* (bank ports, routed paths, the earliest
-  /// in-window p_ret commit), refined per epoch against in-flight state
-  /// (docs/PERFORMANCE.md "Adaptive multi-cycle epochs") — so merges
-  /// routinely cover several cycles even though this value is 1.
-  uint64_t epochLength() const {
-    uint64_t L = minCrossCoreLatency(Cfg);
-    if (Cfg.EpochOverride != 0 && Cfg.EpochOverride < L)
-      L = Cfg.EpochOverride;
-    return L;
-  }
-
   /// Why issue slots went unused (filled when CollectStallStats is on).
   /// One count per core-cycle that issued nothing, by dominant cause.
-  /// The tallies are kept per core and staged through the parallel
-  /// engine's merge, so they are bit-identical at every thread count.
   enum class StallCause : uint8_t {
     NoActiveWork,    ///< No in-flight instructions on the core at all.
     WaitingResponse, ///< Everything issued, awaiting memory/results.
@@ -213,56 +173,25 @@ public:
   const SimConfig &config() const { return Cfg; }
 
   /// Which cycle loop run() selected (set at the start of every run).
-  enum class EngineKind : uint8_t { Reference, FastPath, Parallel };
+  enum class EngineKind : uint8_t { Reference, FastPath };
   EngineKind engineUsed() const { return Engine; }
   /// Stable display name of engineUsed().
   const char *engineName() const;
-  /// Non-empty when a configuration combination silently changed the
-  /// engine choice (e.g. CollectMemLog forcing the serial engines while
-  /// HostThreads > 1) — the explicit diagnostic for what used to be a
-  /// silent downgrade. The note names the exact SimConfig knob to flip.
+  /// Non-empty when the configuration asked for something run() does
+  /// not do: SimConfig::HostThreads > 1 is noted as ignored.
   const std::string &engineNote() const { return EngineNote; }
 
-  /// Host-side statistics of the parallel engine's epoch machinery
-  /// (docs/PERFORMANCE.md "Adaptive multi-cycle epochs"). These describe
-  /// how the run was *computed*, not what it computed: wall-clock splits
-  /// vary run to run, so they are reported next to the counters (lbp_prof
-  /// meta, bench JSON), never inside the deterministic counter set.
+  /// Statistics of the removed sharded engine. Every run is serial now,
+  /// so all of them stay zero; the type and its fields remain because
+  /// the benchmark harness under perfbench/ still reports them.
   struct EngineStats {
-    uint64_t EpochsMerged = 0;  ///< Barrier+merge rounds executed.
-    uint64_t WindowCycles = 0;  ///< Cycles advanced inside multi-cycle
-                                ///< windows.
-    uint64_t GatedCycles = 0;   ///< Serial cycles run because a
-                                ///< fork-class gate op was pending.
-    uint64_t SkippedCycles = 0; ///< Cycles skipped by quiescence
-                                ///< fast-forward.
-    /// Epochs by window length in cycles: index W counts the merges
-    /// whose window spanned W cycles (index 0 = serial cycles).
-    uint64_t WindowHist[9] = {0};
-    /// Why an epoch came out shorter than the planner's bound (the
-    /// latency-derived WindowMax): every such epoch is tallied once,
-    /// under the last bound that shortened it, so the first eight
-    /// tallies sum to the short epochs. ClipSerial counts how many of
-    /// them ran as serial cycles (it equals WindowHist[0]).
-    enum ClipReason : uint8_t {
-      ClipBudget,   ///< The run's MaxCycles budget.
-      ClipSweep,    ///< The next checker sweep boundary.
-      ClipLivelock, ///< The cycle the livelock guard could fire.
-      ClipOverflow, ///< A far-future (overflow-heap) arrival.
-      ClipHazard,   ///< A gate op or p_swre in a hart's front end.
-      ClipDue,      ///< A cross-shard bank response or an I/O access due.
-      ClipWorth,    ///< Near-idle machine: a serial cycle is cheaper.
-      ClipGate,     ///< A pending gate or send op, or a fault plan.
-      ClipSerial,   ///< Of the above, the epochs run as serial cycles.
-      NumClipReasons
-    };
-    uint64_t Clips[NumClipReasons] = {0};
-    /// JSON key of clip tally \p R ("budget", "sweep", ...).
-    static const char *clipName(unsigned R);
-    uint64_t Rebalances = 0;    ///< Shard-partition recomputations.
-    uint64_t ShardNanos = 0;    ///< Wall time inside parallel phases.
-    uint64_t MergeNanos = 0;    ///< Wall time inside epoch merges.
-    unsigned WorkersUsed = 0;   ///< Effective host worker threads.
+    uint64_t EpochsMerged = 0;
+    uint64_t WindowCycles = 0;
+    uint64_t GatedCycles = 0;
+    uint64_t SkippedCycles = 0;
+    uint64_t ShardNanos = 0;
+    uint64_t MergeNanos = 0;
+    unsigned WorkersUsed = 0;
   };
   const EngineStats &engineStats() const { return EStats; }
 
@@ -306,7 +235,6 @@ public:
 
 private:
   friend class Checker;   // read-only sweeps over the machine state
-  friend struct ParEngine; // the epoch orchestrator (ParallelEngine.cpp)
   friend struct SnapshotAccess; // checkpoint serializer (Snapshot.cpp)
 
   // -- Deliveries -----------------------------------------------------
@@ -350,102 +278,14 @@ private:
   /// (Re)builds DecodedText from the loaded code image (load and
   /// snapshot restore).
   void predecodeText();
-  /// (Re)builds WinClass from DecodedText (load and snapshot restore).
-  void buildWindowClass();
 
-  // -- Parallel engine (ParallelEngine.cpp; docs/PERFORMANCE.md) --------
-  // The sharded engine runs each epoch's window on one host thread per
-  // shard (contiguous core range): deliveries, then the five stages,
-  // cycle by cycle. Side effects with cross-shard or global order — trace
-  // events, schedule() calls, interconnect reservations, checker
-  // counters — are captured in per-shard staging buffers through the
-  // hooks below (no-ops on the serial engines, where TlStage is null)
-  // and replayed serially at the barrier in the reference loop's
-  // canonical order, making every observable bit-identical.
-  RunStatus runParallel(uint64_t MaxCycles);
   /// Arms SimConfig::PerturbForTest on the trace for this run (run()
   /// calls it once the engine is selected — the payload encodes it).
   void armPerturb();
-  /// Worker threads the parallel engine would actually spin up:
-  /// HostThreads clamped to the host's hardware concurrency unless
-  /// SimConfig::OversubscribeHost lifts the clamp (oversubscribed shard
-  /// workers only add barrier latency; the observable run is identical
-  /// either way). A zero hardware_concurrency() means "unknown" and
-  /// disables the clamp.
-  unsigned effectiveHostThreads() const;
-  /// Modes whose bookkeeping needs the single-thread reference order.
-  /// Only the mem-log remains: it is one globally ordered vector of
-  /// every access. Stall stats and counters are shard-safe (staged).
-  bool parallelEligible() const {
-    return effectiveHostThreads() > 1 && !Cfg.CollectMemLog;
-  }
-  /// The simulated cycle as seen by the code path currently executing:
-  /// Machine::Cycle on the serial engines and during merges, the shard
-  /// worker's window cycle inside a multi-cycle epoch. Every stage /
-  /// delivery / issue helper computes latencies, wake cycles and event
-  /// stamps from this, which is what keeps them window-correct without
-  /// knowing about windows. Defined in Machine.cpp (needs ShardBuf).
-  uint64_t now() const;
-  /// One reference-order pass over every core's stages for the current
-  /// cycle (shared by run() and the parallel engine's gated cycles).
-  /// Returns true when any core acted; false also on halt.
-  bool cycleStagesSerial();
-  /// Trace event, staged when a shard worker is running.
-  void emit(EventKind K, uint64_t A, uint64_t B = 0);
-  /// schedule() with a precomputed arrival, staged under a worker.
-  void stageOrSchedule(uint64_t At, const Delivery &D);
-  /// Link reservation + schedule, staged under a worker (the merge
-  /// replays them in canonical order, so reservation order — and with
-  /// it every arrival cycle — matches the serial loop's).
-  void routeForwardAndSchedule(unsigned FromCore, unsigned ToCore,
-                               const Delivery &D);
-  void routeBackwardAndSchedule(unsigned FromCore, unsigned ToCore,
-                                const Delivery &D);
-  /// Serial tail of a routed global/I-O access: reserve the path, apply
-  /// a stuck-bank stall, schedule the Bank/IoAccess delivery.
-  void routeAndScheduleMem(const MemIntent &In);
-  /// LastProgress update (per-shard progress cycle under a worker).
-  void noteProgress();
-  /// Serial-gate bookkeeping (see isGateOp / GateCount).
-  void noteGate(int Delta);
-  /// Send-class bookkeeping (see Hart::PendingSendOps / SendCount).
-  void noteSend(int Delta);
-  /// Local/remote access statistics (per-shard deltas under a worker).
-  void noteAccess(bool Local);
-  /// Stall/issue tally for \p CoreId: \p Slot is a StallCause index or
-  /// IssuedSlot. Staged under a worker (the merge's stop-on-halt then
-  /// truncates exactly like the serial loop's mid-cycle break).
-  void noteStall(unsigned CoreId, unsigned Slot);
-  /// Staged max-updates of the counters' high-water marks. Only pushed
-  /// when the worker-visible depth exceeds the merged high-water (reads
-  /// of the merge-written arrays are barrier-ordered), so the op volume
-  /// stays bounded; replay applies max(), making stale reads harmless.
-  void noteRobHigh(unsigned HartId, unsigned Depth);
-  void noteSlotHigh(unsigned HartId, unsigned Depth);
-  /// Halted, including the current worker's staged halt.
-  bool runHalted() const;
-  /// wakeCore() that stages cross-shard wakes under a worker.
-  void wake(unsigned CoreId, uint64_t At);
-  /// Ops with same-cycle cross-core effects or reads (p_fc/p_fn hart
-  /// allocation, p_swcv's remote sp read, fork-call's remote state
-  /// read). While any is decoded but not yet issued, the next cycle
-  /// runs gated (exact serial order) — sound because issue precedes
-  /// decode in the stage order, so a gate op decoded in cycle T cannot
-  /// issue before T+1, by which time the barrier has merged the gate
-  /// counter.
-  static bool isGateOp(const isa::Instr &I) {
-    switch (I.Op) {
-    case isa::Opcode::P_FC:
-    case isa::Opcode::P_FN:
-    case isa::Opcode::P_SWCV:
-    case isa::Opcode::P_JAL:
-      return true;
-    case isa::Opcode::P_JALR:
-      return I.Rd != 0; // rd == x0 is the ending protocol (hart-local)
-    default:
-      return false;
-    }
-  }
+  /// One pass over every core's stages for the current cycle, skipping
+  /// sleeping cores on the fast path. Returns true when any core acted;
+  /// false also on halt.
+  bool cycleStages();
 
   // -- Fast path (SimConfig::FastPath; docs/PERFORMANCE.md) -------------
   /// Earliest cycle strictly comparable to \p Now at which any stage of
@@ -456,11 +296,7 @@ private:
   /// act).
   uint64_t coreWakeCycle(const Core &C, uint64_t Now) const;
   /// Pulls \p CoreId's wake cycle forward to \p At (never pushes it
-  /// back). The wake cycles live in their own SoA vector (CoreWake),
-  /// not in Core: they are the one word of core state written from
-  /// outside the owning shard, and keeping them out of the Core block
-  /// stops a wake from bouncing the core's hot cache lines between
-  /// shard workers.
+  /// back).
   void wakeCore(unsigned CoreId, uint64_t At) {
     if (At < CoreWake[CoreId])
       CoreWake[CoreId] = At;
@@ -501,14 +337,6 @@ private:
   std::string FaultMsg;
 
   uint64_t TotalRetired = 0;
-  /// In-flight cross-core-sensitive ops (sum of Hart::PendingGateOps);
-  /// the parallel engine runs gated (serial) cycles while nonzero.
-  uint64_t GateCount = 0;
-  /// In-flight send-class ops (sum of Hart::PendingSendOps): p_swre
-  /// before its issue, p_ret before its commit. While nonzero, a
-  /// multi-cycle window could see a cross-shard arrival land inside
-  /// itself, so the parallel engine stays on one-cycle windows.
-  uint64_t SendCount = 0;
   // Dynamic-oracle memory log (CollectMemLog; see memLog()).
   std::vector<MemAccess> MemLog;
   uint64_t JoinEpoch = 0;
@@ -569,28 +397,7 @@ private:
   /// after load — stores into the code region fault.
   std::vector<isa::Instr> DecodedText;
 
-  /// Per-text-word hazard lookahead for the parallel engine's window
-  /// planner, built at load() from DecodedText. WinClass[W] is the
-  /// number of hazard-free decodes guaranteed down the straight-line
-  /// path starting at word W: 0 when the instruction itself is
-  /// hazard-class (a gate op or p_swre — anything whose issue or send
-  /// must not happen inside a window), 1 when it is clean but its
-  /// statically known successor is hazardous (or unknown beyond a
-  /// control transfer that delays the next fetch), 2 when both are
-  /// clean. 2 is enough: with the window bound <= 3, an instruction
-  /// first decoded at window cycle 2 cannot issue before the window
-  /// closes. Read-only after load, like DecodedText.
-  std::vector<uint8_t> WinClass;
-  /// WinClass entry for byte address \p Pc; conservative 0 for
-  /// unaligned / out-of-range pcs.
-  uint8_t windowClassAt(uint32_t Pc) const {
-    uint32_t W = Pc / 4;
-    if ((Pc & 3) != 0 || W >= WinClass.size())
-      return 0;
-    return WinClass[W];
-  }
-
-  /// Parallel-engine epoch statistics (see engineStats()).
+  /// Always zero (see engineStats()).
   EngineStats EStats;
 
   struct DeviceMapping {

@@ -42,10 +42,10 @@ const char *lbp::sim::runStatusName(RunStatus S) {
 
 uint64_t lbp::sim::snapshotConfigDigest(const SimConfig &Cfg) {
   // Fold every behavior-relevant field in a fixed order. Host-only
-  // knobs (FastPath, HostThreads, EpochOverride, RecordTrace, trace
+  // knobs (FastPath, HostThreads, OversubscribeHost, RecordTrace, trace
   // line options) are deliberately absent: they select *how* the state
   // sequence is computed, never *what* it is, so a snapshot stays
-  // portable across engines and thread counts.
+  // portable across engines.
   EventHash H;
   H.addWord(Cfg.NumCores);
   H.addWord(Cfg.GlobalBankSizeLog2);
@@ -175,8 +175,6 @@ struct SnapshotAccess {
     W.u32(H.OutstandingMem);
     W.vecU32(H.PendingStoreWords);
     W.b(H.Token);
-    W.u8(H.PendingGateOps);
-    W.u8(H.PendingSendOps);
     for (unsigned I = 0; I != ResultSlots; ++I) {
       W.b(H.SlotFull[I]);
       W.u32(H.SlotVal[I]);
@@ -227,8 +225,6 @@ struct SnapshotAccess {
     H.OutstandingMem = R.u32();
     H.PendingStoreWords = R.vecU32();
     H.Token = R.b();
-    H.PendingGateOps = R.u8();
-    H.PendingSendOps = R.u8();
     for (unsigned I = 0; I != ResultSlots; ++I) {
       H.SlotFull[I] = R.b();
       H.SlotVal[I] = R.u32();
@@ -554,8 +550,6 @@ struct SnapshotAccess {
     W.b(M.Halted);
     W.str(M.FaultMsg);
     W.u64(M.TotalRetired);
-    W.u64(M.GateCount);
-    W.u64(M.SendCount);
     W.u64(M.JoinEpoch);
     W.b(M.Hart0InTeam);
     W.u64(M.RemoteAccesses);
@@ -667,8 +661,6 @@ struct SnapshotAccess {
     M.Halted = R.b();
     M.FaultMsg = R.str();
     M.TotalRetired = R.u64();
-    M.GateCount = R.u64();
-    M.SendCount = R.u64();
     M.JoinEpoch = R.u64();
     M.Hart0InTeam = R.b();
     M.RemoteAccesses = R.u64();
@@ -720,11 +712,9 @@ struct SnapshotAccess {
       return false;
     }
 
-    // Derived state: the pre-decoded text and the window planner's
-    // hazard-lookahead table mirror the restored code image, as after
-    // load().
+    // Derived state: the pre-decoded text mirrors the restored code
+    // image, as after load().
     M.predecodeText();
-    M.buildWindowClass();
     return true;
   }
 };

@@ -49,22 +49,9 @@ enum class EventKind : uint8_t {
                 ///< knob is armed, so normal hashes are unchanged.
 };
 
-/// One event captured in a per-shard staging buffer by the parallel
-/// engine's workers. The hash is order-sensitive, so workers never fold
-/// directly; the epoch merge replays staged events in the canonical
-/// (cycle, delivery-index / core, program-order) order the serial loop
-/// produces, via Trace::replay().
-struct StagedEvent {
-  uint64_t Cycle = 0;
-  uint64_t A = 0;
-  uint64_t B = 0;
-  EventKind Kind = EventKind::Commit;
-};
-
 /// Observer of the canonical event stream (docs/OBSERVABILITY.md).
 /// Sinks see exactly the sequence the hash sees — every engine funnels
-/// its events (staged or direct) through Trace::event() in canonical
-/// order — and they run *after* hashing, so a sink can never perturb
+/// its events through Trace::event() — and they run *after* hashing, so a sink can never perturb
 /// the fingerprint. Implementations: obs::PerfCounters, the Perfetto /
 /// JSONL timeline exporters, obs::PhaseProfiler.
 class TraceSink {
@@ -208,10 +195,6 @@ public:
   void restoreDigestState(uint64_t SavedNextBoundary, uint64_t Total,
                           const std::vector<TraceDigest> &Entries,
                           bool SavedPerturbFired);
-
-  /// Folds a worker-staged event at its canonical merge position;
-  /// byte-identical to the event() call the serial loop would have made.
-  void replay(const StagedEvent &E) { event(E.Cycle, E.Kind, E.A, E.B); }
 
   /// Order-sensitive fingerprint of everything seen so far.
   uint64_t hash() const { return Hash.value(); }

@@ -22,34 +22,14 @@ using namespace lbp::workloads;
 
 std::optional<EngineSpec> EngineSpec::parse(std::string_view S) {
   if (S == "reference")
-    return EngineSpec{Kind::Reference, 1};
+    return EngineSpec{Kind::Reference};
   if (S == "fastpath")
-    return EngineSpec{Kind::FastPath, 1};
-  constexpr std::string_view Prefix = "parallel-t";
-  if (S.substr(0, Prefix.size()) != Prefix)
-    return std::nullopt;
-  // Plain decimal without a leading zero, so name() gives S back.
-  std::string_view N = S.substr(Prefix.size());
-  if (N.empty() || N.size() > 4 || N[0] == '0' ||
-      !std::all_of(N.begin(), N.end(),
-                   [](char C) { return C >= '0' && C <= '9'; }))
-    return std::nullopt;
-  unsigned T = static_cast<unsigned>(*parseInteger(N));
-  if (T < 2 || T > 1024)
-    return std::nullopt;
-  return EngineSpec{Kind::Parallel, T};
+    return EngineSpec{Kind::FastPath};
+  return std::nullopt;
 }
 
 std::string EngineSpec::name() const {
-  switch (K) {
-  case Kind::Reference:
-    return "reference";
-  case Kind::FastPath:
-    return "fastpath";
-  case Kind::Parallel:
-    break;
-  }
-  return "parallel-t" + std::to_string(Threads);
+  return K == Kind::Reference ? "reference" : "fastpath";
 }
 
 bool workloads::buildWorkload(std::string_view Name, unsigned Cores,

@@ -8,9 +8,8 @@
 /// What lbp_prof, lbp_triage, lbp_fleet and bench_simspeed agree on about
 /// a run, parsed and built in one place:
 ///
-///   - the engine, spelled `reference | fastpath | parallel-tN` (N >= 2
-///     host threads): the names Machine::engineName() reports, with the
-///     thread count on the parallel one;
+///   - the engine, spelled `reference | fastpath`: the names
+///     Machine::engineName() reports;
 ///   - the program: `--workload NAME` or a positional `file.c | file.s |
 ///     -` (Det-C unless the name ends in .s or .asm);
 ///   - the machine size (`--cores`) and the injected-fault counts
@@ -37,23 +36,18 @@ namespace workloads {
 
 /// Which engine runs a simulation.
 struct EngineSpec {
-  enum class Kind : uint8_t { Reference, FastPath, Parallel };
+  enum class Kind : uint8_t { Reference, FastPath };
   Kind K = Kind::FastPath;
-  unsigned Threads = 1; ///< Host threads; only Parallel has more than 1.
 
-  /// Parses `reference`, `fastpath` or `parallel-tN` with 2 <= N <= 1024.
-  /// `parallel-t1` is refused: one shard is the fastpath engine, and the
-  /// name would lie about what ran. (bench_simspeed builds that cell
-  /// directly as the one-thread baseline of its sweep.)
+  /// Parses `reference` or `fastpath`.
   static std::optional<EngineSpec> parse(std::string_view S);
 
   /// The spelling parse() accepts for this spec.
   std::string name() const;
 
-  /// Sets the two SimConfig knobs that select the engine.
+  /// Sets the SimConfig knob that selects the engine.
   void applyTo(sim::SimConfig &Cfg) const {
     Cfg.FastPath = K != Kind::Reference;
-    Cfg.HostThreads = Threads;
   }
 
   bool operator==(const EngineSpec &) const = default;

@@ -30,8 +30,7 @@ using workloads::RunSpec;
 namespace {
 
 TEST(EngineSpec, EverySpellingRoundTrips) {
-  for (const char *S : {"reference", "fastpath", "parallel-t2",
-                        "parallel-t4", "parallel-t64", "parallel-t1024"}) {
+  for (const char *S : {"reference", "fastpath"}) {
     std::optional<EngineSpec> E = EngineSpec::parse(S);
     ASSERT_TRUE(E) << S;
     EXPECT_EQ(E->name(), S);
@@ -40,31 +39,26 @@ TEST(EngineSpec, EverySpellingRoundTrips) {
 }
 
 TEST(EngineSpec, RejectsOldAndMalformedSpellings) {
+  // The sharded engine's parallel-tN spellings were removed with it.
   for (const char *S :
-       {"fast", "parallel", "parallel:4", "parallel-t1", "parallel-t0",
-        "parallel-t", "parallel-t04", "parallel-t1025", "parallel-t4x",
-        "parallel-t+4", "parallel-t0x4", "Reference", "fastpath ", ""})
+       {"fast", "parallel", "parallel:4", "parallel-t1", "parallel-t2",
+        "parallel-t4", "parallel-t64", "parallel-t1024", "parallel-t0",
+        "parallel-t", "Reference", "fastpath ", ""})
     EXPECT_FALSE(EngineSpec::parse(S)) << '"' << S << '"';
 }
 
-/// What the replaced parsers set: lbp_prof (--engine reference|fast plus
-/// --threads N), lbp_triage (reference | fast | parallel[:N]) and
-/// lbp_fleet (reference | fast | parallel[-tN]).
+/// What the replaced parsers set: lbp_prof, lbp_triage and lbp_fleet
+/// (reference | fast).
 TEST(EngineSpec, ApplyToMatchesTheReplacedParsers) {
   struct Case {
     const char *Spec;
     bool FastPath;
-    unsigned HostThreads;
   };
-  for (Case C : {Case{"reference", false, 1}, Case{"fastpath", true, 1},
-                 Case{"parallel-t2", true, 2}, Case{"parallel-t4", true, 4},
-                 Case{"parallel-t8", true, 8}}) {
+  for (Case C : {Case{"reference", false}, Case{"fastpath", true}}) {
     sim::SimConfig Cfg = sim::SimConfig::lbp(4);
-    Cfg.FastPath = !C.FastPath;
-    Cfg.HostThreads = 3; // applyTo must overwrite, not keep, the knob
+    Cfg.FastPath = !C.FastPath; // applyTo must overwrite, not keep, it
     EngineSpec::parse(C.Spec)->applyTo(Cfg);
     EXPECT_EQ(Cfg.FastPath, C.FastPath) << C.Spec;
-    EXPECT_EQ(Cfg.HostThreads, C.HostThreads) << C.Spec;
   }
 }
 
@@ -84,19 +78,18 @@ bool parseAll(RunSpec &RS, std::vector<const char *> Args,
 TEST(RunSpec, ParsesTheSharedFlags) {
   RunSpec RS;
   ASSERT_TRUE(parseAll(RS, {"--workload", "phases", "--cores", "16",
-                            "--engine", "parallel-t4", "--drops", "1",
+                            "--engine", "reference", "--drops", "1",
                             "--delays", "2", "--flips", "3"}));
   EXPECT_EQ(RS.Workload, "phases");
   EXPECT_EQ(RS.Cores, 16u);
-  EXPECT_EQ(RS.Engine, (EngineSpec{EngineSpec::Kind::Parallel, 4}));
+  EXPECT_EQ(RS.Engine, (EngineSpec{EngineSpec::Kind::Reference}));
 
   assembler::Program Prog;
   sim::SimConfig Cfg;
   std::string Err;
   ASSERT_TRUE(RS.load(Prog, Cfg, Err)) << Err;
   EXPECT_EQ(Cfg.NumCores, 16u);
-  EXPECT_TRUE(Cfg.FastPath);
-  EXPECT_EQ(Cfg.HostThreads, 4u);
+  EXPECT_FALSE(Cfg.FastPath);
   EXPECT_EQ(Cfg.Faults.Drops, 1u);
   EXPECT_EQ(Cfg.Faults.Delays, 2u);
   EXPECT_EQ(Cfg.Faults.BitFlips, 3u);
@@ -106,6 +99,7 @@ TEST(RunSpec, RejectsBadFlags) {
   for (std::vector<const char *> Args :
        {std::vector<const char *>{"--engine", "fast"},
         {"--engine", "parallel:4"},
+        {"--engine", "parallel-t4"},
         {"--engine"},
         {"--cores", "0"},
         {"--cores", "-1"},

@@ -9,11 +9,10 @@
 // resumed on a *fresh* machine finishes with the exact observable
 // fingerprint — RunStatus, cycle count, retired count, trace hash chain,
 // fault message, machine-check list and the canonical counter snapshot —
-// of the run that was never interrupted. Swept across all three engines
-// (reference, fast path, sharded parallel), across host thread counts,
-// through open fault-injection windows and through the X_PAR fork/join
-// handshake, because those are exactly the states a fleet worker dies
-// in. Also: save -> restore -> save is byte-identical (the blob is a
+// of the run that was never interrupted. Swept across both engines
+// (reference, fast path), through open fault-injection windows and
+// through the X_PAR fork/join handshake, because those are exactly the
+// states a fleet worker dies in. Also: save -> restore -> save is byte-identical (the blob is a
 // pure function of machine state), and malformed blobs are rejected
 // without crashing.
 //
@@ -38,25 +37,18 @@ using namespace lbp::sim;
 
 namespace {
 
-/// One engine/thread cell of the sweep.
+/// One engine cell of the sweep.
 struct EngineCell {
   const char *Name;
   bool FastPath;
-  unsigned Threads;
 };
 constexpr EngineCell Cells[] = {
-    {"reference", false, 1},
-    {"fastpath", true, 1},
-    {"parallel-2", true, 2},
-    {"parallel-4", true, 4},
+    {"reference", false},
+    {"fastpath", true},
 };
 
 SimConfig cellConfig(SimConfig Cfg, const EngineCell &C) {
   Cfg.FastPath = C.FastPath;
-  Cfg.HostThreads = C.Threads;
-  // Real shard workers even on a small CI host, so the parallel cells
-  // checkpoint actual sharded runs.
-  Cfg.OversubscribeHost = true;
   Cfg.CollectCounters = true;
   return Cfg;
 }
@@ -146,7 +138,7 @@ std::string pipelineSrc() {
 }
 
 //===----------------------------------------------------------------------===//
-// Engine x thread-count sweep at assorted snapshot cycles
+// Engine sweep at assorted snapshot cycles
 //===----------------------------------------------------------------------===//
 
 TEST(Snapshot, ResumeMatchesUninterruptedAcrossEnginesPhases) {
@@ -201,12 +193,11 @@ TEST(Snapshot, BlobIsPortableAcrossEngines) {
 }
 
 //===----------------------------------------------------------------------===//
-// Mid multi-cycle-epoch stretch
+// Mid quiescent stretch
 //===----------------------------------------------------------------------===//
 
-/// Harts spinning in private ALU loops: the shape where the parallel
-/// engine's adaptive planner runs multi-cycle epochs nearly all the
-/// time (see ThreadSweep.QuiescentStretchesUseMultiCycleEpochs).
+/// Harts spinning in private ALU loops between fork and join: long
+/// stretches in which cores sleep and the fast path skips cycles.
 std::string spinSrc() {
   romp::AsmText Head;
   romp::emitMainPrologue(Head);
@@ -235,19 +226,17 @@ spin:
 }
 
 TEST(Snapshot, ResumeMidMultiCycleEpochStretch) {
-  // Snapshot budgets landing inside the long windowed stretches. The
-  // engine clips every window to the remaining budget, so run(N) always
-  // stops on a fully merged epoch boundary and the blob is an ordinary
-  // between-cycles state — portable to every engine, including back to
-  // a windowed parallel run that re-plans from the restored wheel.
+  // Snapshot budgets landing inside the long quiescent stretches. The
+  // fast path clips every skip to the remaining budget, so run(N) always
+  // stops on the cycle boundary the reference loop would and the blob
+  // is an ordinary between-cycles state — portable to both engines.
   assembler::Program Prog = assembleOrDie(spinSrc());
-  SimConfig Par = cellConfig(SimConfig::lbp(4), Cells[3]); // parallel-4
+  SimConfig Fast = cellConfig(SimConfig::lbp(4), Cells[1]); // fastpath
   for (const EngineCell &To : Cells) {
     SimConfig ToCfg = cellConfig(SimConfig::lbp(4), To);
     for (uint64_t SnapAt : {150ull, 731ull, 1500ull})
-      expectResumeIdentical(Prog, Par, ToCfg, SnapAt,
-                            std::string("midwindow/parallel-4->") +
-                                To.Name);
+      expectResumeIdentical(Prog, Fast, ToCfg, SnapAt,
+                            std::string("midstretch/fastpath->") + To.Name);
   }
 }
 

@@ -1,20 +1,17 @@
-//===- tests/thread_sweep_test.cpp - Parallel-engine invariance -------------===//
+//===- tests/thread_sweep_test.cpp - Host-knob invariance -------------------===//
 //
 // Part of the LBP reproduction project.
 //
 //===----------------------------------------------------------------------===//
 //
-// Thread-count invariance of the sharded parallel engine
-// (sim/ParallelEngine.cpp): for every workload, every fault-injection
-// class and mid-epoch MaxCycles truncation, a run with HostThreads in
-// {1, 2, 4, 8} must produce the very same observable fingerprint —
-// RunStatus, final cycle count, retired count, trace hash, fault
-// message, and the full machine-check list — as the serial reference
-// engine. This is the contract docs/PERFORMANCE.md ("Parallel engine")
-// states; any divergence here is a parallel-engine bug by definition.
-//
-// The CI ThreadSanitizer job runs this binary under TSan, which turns
-// the same sweep into a data-race check on the barrier protocol.
+// Every host-side knob must leave the simulated run untouched: for every
+// workload, every fault-injection class and MaxCycles truncation, the
+// fast path, and the fast path with the inert SimConfig::HostThreads = 4
+// and OversubscribeHost set, must produce the very same observable
+// fingerprint — RunStatus, final cycle count, retired count, trace hash,
+// fault message, the full machine-check list and the counter snapshot —
+// as the reference loop. The HostThreads cell must also say in
+// engineNote() that the knob was ignored.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +23,6 @@
 #include "romp/Runtime.h"
 #include "sim/Device.h"
 #include "sim/Machine.h"
-#include "sim/ParallelEngine.h"
 #include "support/SplitMix64.h"
 #include "support/StringUtils.h"
 #include "workloads/Dma.h"
@@ -45,10 +41,10 @@ using namespace lbp::sim;
 
 namespace {
 
-/// Everything a run can tell the outside world. Two engine/thread
-/// configurations agree iff their fingerprints compare equal. Counters
-/// is the full canonical snapshot (obs::countersToJson), so every cell
-/// of the sweep also proves counter bit-identity.
+/// Everything a run can tell the outside world. Two configurations agree
+/// iff their fingerprints compare equal. Counters is the full canonical
+/// snapshot (obs::countersToJson), so every cell of the sweep also
+/// proves counter bit-identity.
 struct Fingerprint {
   RunStatus Status;
   uint64_t Cycles;
@@ -69,16 +65,45 @@ Fingerprint fingerprintOf(const Machine &M, RunStatus S) {
           obs::countersToJson(M)};
 }
 
-Fingerprint runWith(const assembler::Program &Prog, SimConfig Cfg,
-                    unsigned Threads, uint64_t MaxCycles) {
-  Cfg.HostThreads = Threads;
-  // Spawn real shard workers even on a small CI host — the sweep's
-  // whole point is exercising actual cross-thread interleaving.
-  Cfg.OversubscribeHost = true;
+/// One cell of the sweep: an engine plus the inert host-thread knobs.
+struct Cell {
+  const char *Name;
+  bool FastPath;
+  unsigned Threads;
+};
+constexpr Cell Cells[] = {{"reference", false, 1},
+                          {"fastpath", true, 1},
+                          {"fastpath HostThreads=4", true, 4}};
+
+SimConfig cellConfig(SimConfig Cfg, const Cell &C) {
+  Cfg.FastPath = C.FastPath;
+  Cfg.HostThreads = C.Threads;
+  Cfg.OversubscribeHost = C.Threads > 1;
   Cfg.CollectCounters = true;
-  Machine M(Cfg);
+  return Cfg;
+}
+
+/// The engine a cell must have run on, and the note it must carry: only
+/// HostThreads > 1 is noted (as ignored).
+void expectEngine(const Machine &M, const Cell &C, const std::string &What) {
+  EXPECT_STREQ(M.engineName(), C.FastPath ? "fastpath" : "reference")
+      << What;
+  if (C.Threads > 1)
+    EXPECT_NE(M.engineNote().find("HostThreads = 4 ignored"),
+              std::string::npos)
+        << What << ": " << M.engineNote();
+  else
+    EXPECT_TRUE(M.engineNote().empty()) << What << ": " << M.engineNote();
+}
+
+Fingerprint runWith(const assembler::Program &Prog, const SimConfig &Cfg,
+                    const Cell &C, uint64_t MaxCycles,
+                    const std::string &What) {
+  Machine M(cellConfig(Cfg, C));
   M.load(Prog);
-  return fingerprintOf(M, M.run(MaxCycles));
+  Fingerprint F = fingerprintOf(M, M.run(MaxCycles));
+  expectEngine(M, C, What);
+  return F;
 }
 
 void expectSame(const Fingerprint &Ref, const Fingerprint &Got,
@@ -101,35 +126,22 @@ void expectSame(const Fingerprint &Ref, const Fingerprint &Got,
   }
 }
 
-/// Assembles \p Src and compares every engine/thread cell against the
-/// serial reference, counter snapshots included. Two sub-sweeps because
-/// the engines split on CollectStallStats: with it on the fast path
-/// yields to the reference loop (it must observe every core-cycle), so
-/// covering all three engines needs a stalls-on sweep (reference vs
-/// sharded) and a stalls-off sweep (reference vs fast path vs sharded).
-void expectThreadInvariant(const std::string &Src, SimConfig Cfg,
+/// Assembles \p Src and compares every cell against the reference
+/// loop, counter snapshots included.
+void expectThreadInvariant(const std::string &Src, const SimConfig &Cfg,
                            const std::string &What,
                            uint64_t MaxCycles = 2000000) {
   assembler::AsmResult R = assembler::assemble(Src);
   ASSERT_TRUE(R.succeeded()) << What << ":\n" << R.errorText();
-
-  SimConfig SCfg = Cfg;
-  SCfg.CollectStallStats = true;
-  Fingerprint Ref = runWith(R.Prog, SCfg, /*Threads=*/1, MaxCycles);
-  for (unsigned T : {2u, 4u, 8u}) {
-    Fingerprint Par = runWith(R.Prog, SCfg, T, MaxCycles);
-    expectSame(Ref, Par, What + formatString(" [stalls threads=%u]", T));
+  Fingerprint Ref;
+  for (const Cell &C : Cells) {
+    std::string Where = What + " [" + C.Name + "]";
+    Fingerprint Got = runWith(R.Prog, Cfg, C, MaxCycles, Where);
+    if (&C == &Cells[0])
+      Ref = Got;
+    else
+      expectSame(Ref, Got, Where);
   }
-
-  SimConfig FCfg = Cfg;
-  FCfg.CollectStallStats = false;
-  FCfg.FastPath = false;
-  Fingerprint FRef = runWith(R.Prog, FCfg, /*Threads=*/1, MaxCycles);
-  FCfg.FastPath = true;
-  expectSame(FRef, runWith(R.Prog, FCfg, /*Threads=*/1, MaxCycles),
-             What + " [fastpath]");
-  expectSame(FRef, runWith(R.Prog, FCfg, /*Threads=*/4, MaxCycles),
-             What + " [fast threads=4]");
 }
 
 /// The fault matrix every workload below is swept through: clean, one
@@ -165,8 +177,7 @@ void sweepFaults(const std::string &Src, SimConfig Cfg,
 
 /// The barrier-heavy shape from bench_simspeed: back-to-back parallel
 /// regions whose workers do almost nothing, so the fork/join protocol
-/// and the ending-token chain dominate — the traffic with the most
-/// cross-shard deliveries per simulated cycle.
+/// and the ending-token chain dominate.
 std::string barrierProgram(unsigned NumHarts, unsigned Rounds) {
   romp::AsmText Head;
   romp::emitMainPrologue(Head);
@@ -196,9 +207,8 @@ TEST(ThreadSweep, BarrierWorkload) {
 }
 
 /// Long quiescent stretches: each hart spins in a private ALU loop with
-/// no memory traffic at all between the fork and the join, which is
-/// exactly the shape the adaptive multi-cycle window planner exists for
-/// (no deliveries due, no gate/send ops in flight).
+/// no memory traffic at all between the fork and the join, so whole
+/// cores sleep on the fast path while others still compute.
 std::string quiescentProgram(unsigned NumHarts, unsigned Rounds,
                              unsigned SpinIters) {
   romp::AsmText Head;
@@ -235,35 +245,9 @@ TEST(ThreadSweep, QuiescentStretchesWorkload) {
               SimConfig::lbp(4), "quiescent");
 }
 
-TEST(ThreadSweep, QuiescentStretchesUseMultiCycleEpochs) {
-  // Beyond fingerprint invariance, prove the window machinery actually
-  // engages on this shape: some epochs must span more than one cycle.
-  assembler::AsmResult R = assembler::assemble(
-      quiescentProgram(/*NumHarts=*/16, /*Rounds=*/3, /*SpinIters=*/300));
-  ASSERT_TRUE(R.succeeded()) << R.errorText();
-  SimConfig Cfg = SimConfig::lbp(4);
-  Cfg.HostThreads = 4;
-  Cfg.OversubscribeHost = true;
-  Machine M(Cfg);
-  M.load(R.Prog);
-  ASSERT_EQ(static_cast<int>(M.run(2000000)),
-            static_cast<int>(RunStatus::Exited));
-
-  ASSERT_EQ(static_cast<int>(M.engineUsed()),
-            static_cast<int>(Machine::EngineKind::Parallel));
-  const Machine::EngineStats &ES = M.engineStats();
-  EXPECT_GT(ES.EpochsMerged, 0u);
-  EXPECT_GT(ES.WindowCycles, 0u) << "no multi-cycle epoch ever ran";
-  uint64_t MultiCycleEpochs = 0;
-  for (unsigned W = 2; W <= MaxEpochWindow; ++W)
-    MultiCycleEpochs += ES.WindowHist[W];
-  EXPECT_GT(MultiCycleEpochs, 0u);
-}
-
-/// Dense cross-shard traffic: every hart hammers the *next* core's
-/// global bank, so nearly every delivery crosses a shard boundary and
-/// the window planner must keep clipping back to one-cycle windows —
-/// the adversarial case for the window due-scan.
+/// Dense cross-core traffic: every hart hammers the *next* core's
+/// global bank, so nearly every access is routed through the router
+/// tree to a remote bank.
 std::string crossBankProgram(unsigned NumHarts, unsigned Rounds,
                              unsigned Iters) {
   romp::AsmText Head;
@@ -306,35 +290,6 @@ TEST(ThreadSweep, DenseCrossShardTraffic) {
               SimConfig::lbp(4), "crossbank");
 }
 
-TEST(ThreadSweep, RebalancingIsPlacementInvariant) {
-  // The deterministic-rebalancing contract: neither the initial shard
-  // partition nor the rebalance cadence may leave any observable mark.
-  // Sweep both knobs against the serial reference on workloads with
-  // skewed per-core load (quiescent spin) and heavy traffic (barrier).
-  struct Cell {
-    const char *Name;
-    std::string Src;
-  } Cells[] = {
-      {"quiescent", quiescentProgram(16, 2, 200)},
-      {"barrier", barrierProgram(16, 4)},
-  };
-  for (const Cell &C : Cells) {
-    assembler::AsmResult R = assembler::assemble(C.Src);
-    ASSERT_TRUE(R.succeeded()) << C.Name << ":\n" << R.errorText();
-    SimConfig Cfg = SimConfig::lbp(4);
-    Fingerprint Ref = runWith(R.Prog, Cfg, /*Threads=*/1, 2000000);
-    for (unsigned Skew : {0u, 1u, 3u})
-      for (uint64_t Interval : {0ull, 256ull, 4096ull}) {
-        SimConfig PCfg = Cfg;
-        PCfg.InitialShardSkew = Skew;
-        PCfg.ShardRebalanceInterval = Interval;
-        expectSame(Ref, runWith(R.Prog, PCfg, /*Threads=*/4, 2000000),
-                   formatString("%s skew=%u interval=%llu", C.Name, Skew,
-                                static_cast<unsigned long long>(Interval)));
-      }
-  }
-}
-
 TEST(ThreadSweep, PhasesWorkload) {
   workloads::PhasesSpec Spec;
   Spec.NumHarts = 16;
@@ -369,7 +324,7 @@ TEST(ThreadSweep, DetCCorpus) {
 
 /// Random well-formed single-hart programs (same generator family as
 /// tests/differential_test.cpp, inlined in reduced form): ALU soup plus
-/// global store/load traffic, exercising the memory-intent staging.
+/// global store/load traffic.
 std::string randomProgram(uint64_t Seed) {
   SplitMix64 Rng(Seed);
   std::string S = "main:\n";
@@ -421,9 +376,8 @@ TEST(ThreadSweep, RandomPrograms) {
 }
 
 TEST(ThreadSweep, MaxCyclesTruncationMidEpoch) {
-  // Cutting the budget mid-run must stop every thread count at the same
-  // cycle with the same trace — including budgets that end a window
-  // early.
+  // Cutting the budget mid-run must stop every cell at the same cycle
+  // with the same trace.
   workloads::PhasesSpec Spec;
   Spec.NumHarts = 16;
   SimConfig Cfg = SimConfig::lbp(Spec.cores());
@@ -452,9 +406,8 @@ struct TimelineCapture {
 };
 
 TimelineCapture captureTimelines(const assembler::Program &Prog,
-                                 SimConfig Cfg, unsigned Threads) {
-  Cfg.HostThreads = Threads;
-  Cfg.OversubscribeHost = true;
+                                 const SimConfig &Base, const Cell &C) {
+  SimConfig Cfg = cellConfig(Base, C);
   std::ostringstream POut, JOut;
   Machine M(Cfg);
   obs::PerfettoSink Perfetto(POut, Cfg);
@@ -473,71 +426,15 @@ TEST(ThreadSweep, TimelineExportsAreEngineInvariant) {
   ASSERT_TRUE(R.succeeded()) << R.errorText();
   for (const FaultCase &F : {FaultCases[0], FaultCases[5]}) {
     SimConfig Cfg = withFaults(SimConfig::lbp(4), F, 0xBEEFull);
-    Cfg.FastPath = false;
-    TimelineCapture Ref = captureTimelines(R.Prog, Cfg, 1);
+    TimelineCapture Ref = captureTimelines(R.Prog, Cfg, Cells[0]);
     EXPECT_FALSE(Ref.Perfetto.empty());
     EXPECT_EQ(Ref.Perfetto.substr(Ref.Perfetto.size() - 3), "]}\n");
-    Cfg.FastPath = true;
-    TimelineCapture Fast = captureTimelines(R.Prog, Cfg, 1);
-    EXPECT_EQ(Ref.Perfetto, Fast.Perfetto) << F.Name;
-    EXPECT_EQ(Ref.Jsonl, Fast.Jsonl) << F.Name;
-    for (unsigned T : {2u, 8u}) {
-      TimelineCapture Par = captureTimelines(R.Prog, Cfg, T);
-      EXPECT_EQ(Ref.Perfetto, Par.Perfetto) << F.Name << " T=" << T;
-      EXPECT_EQ(Ref.Jsonl, Par.Jsonl) << F.Name << " T=" << T;
+    for (const Cell &C : {Cells[1], Cells[2]}) {
+      TimelineCapture Got = captureTimelines(R.Prog, Cfg, C);
+      EXPECT_EQ(Ref.Perfetto, Got.Perfetto) << F.Name << " " << C.Name;
+      EXPECT_EQ(Ref.Jsonl, Got.Jsonl) << F.Name << " " << C.Name;
     }
   }
-}
-
-TEST(ThreadSweep, StallStatsNoLongerDowngradeTheEngine) {
-  // Stall tallies are staged per shard now, so CollectStallStats plus
-  // HostThreads > 1 must select the sharded engine — and say nothing.
-  assembler::AsmResult R =
-      assembler::assemble(barrierProgram(/*NumHarts=*/16, /*Rounds=*/2));
-  ASSERT_TRUE(R.succeeded()) << R.errorText();
-  SimConfig Cfg = SimConfig::lbp(4);
-  Cfg.CollectStallStats = true;
-  Cfg.HostThreads = 4;
-  Cfg.OversubscribeHost = true;
-  Machine M(Cfg);
-  M.load(R.Prog);
-  ASSERT_EQ(static_cast<int>(M.run(2000000)),
-            static_cast<int>(RunStatus::Exited));
-  EXPECT_EQ(static_cast<int>(M.engineUsed()),
-            static_cast<int>(Machine::EngineKind::Parallel));
-  EXPECT_TRUE(M.engineNote().empty()) << M.engineNote();
-  EXPECT_GT(M.issuedCoreCycles(), 0u);
-}
-
-TEST(ThreadSweep, MemLogDowngradeIsDiagnosed) {
-  // The one remaining forced downgrade: the mem-log needs the serial
-  // reference access order. It must still happen — and now explain
-  // itself through engineNote().
-  assembler::AsmResult R =
-      assembler::assemble(barrierProgram(/*NumHarts=*/16, /*Rounds=*/2));
-  ASSERT_TRUE(R.succeeded()) << R.errorText();
-  SimConfig Cfg = SimConfig::lbp(4);
-  Cfg.CollectMemLog = true;
-  Cfg.HostThreads = 4;
-  Cfg.OversubscribeHost = true;
-  Machine M(Cfg);
-  M.load(R.Prog);
-  ASSERT_EQ(static_cast<int>(M.run(2000000)),
-            static_cast<int>(RunStatus::Exited));
-  EXPECT_NE(static_cast<int>(M.engineUsed()),
-            static_cast<int>(Machine::EngineKind::Parallel));
-  EXPECT_FALSE(M.engineNote().empty());
-  // The note must name the exact knob that forced the downgrade.
-  EXPECT_NE(M.engineNote().find("CollectMemLog"), std::string::npos)
-      << M.engineNote();
-
-  // With one host thread nothing is downgraded, so nothing is noted.
-  Cfg.HostThreads = 1;
-  Machine S(Cfg);
-  S.load(R.Prog);
-  ASSERT_EQ(static_cast<int>(S.run(2000000)),
-            static_cast<int>(RunStatus::Exited));
-  EXPECT_TRUE(S.engineNote().empty()) << S.engineNote();
 }
 
 /// Attaches a workload's devices to a fresh machine and returns a
@@ -545,41 +442,22 @@ TEST(ThreadSweep, MemLogDowngradeIsDiagnosed) {
 using AttachDevices =
     std::function<std::function<std::vector<uint64_t>()>(Machine &)>;
 
-/// Runs a device workload on reference, fast path and the sharded engine
-/// at 2 and 4 workers. Device accesses run on the parallel engine's
-/// serial cycles, so this is the sweep that drives them: every cell must
-/// match the reference fingerprint and the devices' records.
+/// Runs a device workload on every cell: each must match the reference
+/// fingerprint and the devices' records.
 void expectDeviceInvariant(const std::string &Src, const SimConfig &Cfg,
                            const AttachDevices &Attach,
                            const std::string &What) {
   assembler::AsmResult R = assembler::assemble(Src);
   ASSERT_TRUE(R.succeeded()) << What << ":\n" << R.errorText();
-  struct Cell {
-    const char *Name;
-    bool FastPath;
-    unsigned Threads;
-  };
-  constexpr Cell Cells[] = {{"reference", false, 1},
-                            {"fastpath", true, 1},
-                            {"parallel-t2", true, 2},
-                            {"parallel-t4", true, 4}};
   Fingerprint Ref;
   std::vector<uint64_t> RefOut;
   for (const Cell &C : Cells) {
-    SimConfig CCfg = Cfg;
-    CCfg.FastPath = C.FastPath;
-    CCfg.HostThreads = C.Threads;
-    CCfg.OversubscribeHost = true;
-    CCfg.CollectCounters = true;
-    Machine M(CCfg);
+    Machine M(cellConfig(Cfg, C));
     std::function<std::vector<uint64_t>()> Output = Attach(M);
     M.load(R.Prog);
     Fingerprint Got = fingerprintOf(M, M.run(20000000));
     std::string Where = What + " [" + C.Name + "]";
-    if (C.Threads > 1)
-      EXPECT_EQ(static_cast<int>(M.engineUsed()),
-                static_cast<int>(Machine::EngineKind::Parallel))
-          << Where;
+    expectEngine(M, C, Where);
     if (&C == &Cells[0]) {
       ASSERT_EQ(static_cast<int>(Got.Status),
                 static_cast<int>(RunStatus::Exited))
@@ -618,7 +496,7 @@ TEST(ThreadSweep, DeviceWorkloadsAreThreadInvariant) {
 
   // Sensor fusion: four sensors with seeded response latencies and an
   // actuator whose records carry the cycle of every write. The team
-  // runs on core 0; the other cores give the shards something to own.
+  // runs on core 0; the other cores stay idle.
   workloads::SensorFusionSpec Fusion;
   Fusion.Rounds = 4;
   expectDeviceInvariant(
@@ -645,28 +523,6 @@ TEST(ThreadSweep, DeviceWorkloadsAreThreadInvariant) {
         };
       },
       "sensor-fusion");
-}
-
-TEST(ThreadSweep, FaultPlansRunOneCycleWindows) {
-  // A fault plan keys its triggers on the serial schedule cycle, which
-  // only a one-cycle window replays exactly: with a plan armed the
-  // engine must run its parallel epochs as one-cycle windows and never
-  // as multi-cycle ones.
-  assembler::AsmResult R =
-      assembler::assemble(barrierProgram(/*NumHarts=*/16, /*Rounds=*/4));
-  ASSERT_TRUE(R.succeeded()) << R.errorText();
-  SimConfig Cfg = withFaults(SimConfig::lbp(4), FaultCases[5], 0xF00Dull);
-  Cfg.HostThreads = 4;
-  Cfg.OversubscribeHost = true;
-  Machine M(Cfg);
-  M.load(R.Prog);
-  M.run(2000000);
-  ASSERT_EQ(static_cast<int>(M.engineUsed()),
-            static_cast<int>(Machine::EngineKind::Parallel));
-  const Machine::EngineStats &ES = M.engineStats();
-  EXPECT_GT(ES.WindowHist[1], 0u) << "no one-cycle window carried the plan";
-  for (unsigned W = 2; W <= MaxEpochWindow; ++W)
-    EXPECT_EQ(ES.WindowHist[W], 0u) << "window of " << W << " cycles";
 }
 
 } // namespace
