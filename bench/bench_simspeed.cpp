@@ -32,8 +32,14 @@
 // overhead is the median of alternating off/on pairs of runs of about
 // 50 ms, with every sample in the JSON.
 //
+// Every engine cell is timed as EnginePairs alternating reference/fastpath
+// runs and reported as median, minimum and median absolute deviation; the
+// speedup and its gate compare medians. The JSON carries a host and build
+// fingerprint and, on each fastpath cell, the fast path's tallies (core
+// passes, awake-set rebuilds, quiescence jumps and skipped cycles).
+//
 // Usage: bench_simspeed [--quick] [--out FILE] [--engines LIST]
-//                       [--counters]
+//                       [--counters] [--git-sha SHA]
 //
 //===----------------------------------------------------------------------===//
 
@@ -142,23 +148,28 @@ struct Fingerprint {
 };
 
 /// One engine cell of the comparison matrix, named by Spec.name():
-/// "reference" or "fastpath".
+/// "reference" or "fastpath". Timed as EnginePairs runs (see
+/// runWorkload); the rates are taken at the median time.
 struct EngineResult {
   EngineSpec Spec;
   Fingerprint Fp;
-  double HostSeconds = 0.0;
+  std::vector<double> Samples; ///< Seconds of each timed run, in order.
+  double HostSeconds = 0.0;    ///< Median of Samples.
+  double MinSeconds = 0.0;
+  double MadSeconds = 0.0;     ///< Median absolute deviation of Samples.
   double CyclesPerSec = 0.0;
   double Mips = 0.0;
   long PeakRssKb = 0;
-  bool Identical = true; ///< Fingerprint matches the reference engine.
+  bool Identical = true; ///< Every run's fingerprint matches the reference.
   std::string EngineUsed; ///< Machine::engineName() after the run.
+  sim::Machine::FastPathStats Tallies; ///< Of one run (deterministic).
 };
 
 struct WorkloadResult {
   std::string Name;
   unsigned Cores = 0;
   std::vector<EngineResult> Engines;
-  double FastSpeedup = 0.0; ///< reference time / fastpath time.
+  double FastSpeedup = 0.0; ///< Median reference / median fastpath time.
 };
 
 /// One engine cell that broke bit-identity. Divergences no longer kill
@@ -178,11 +189,48 @@ struct DivergenceRecord {
 };
 std::vector<DivergenceRecord> Divergences;
 
+/// The host CPU's model name ("unknown" when /proc/cpuinfo has none),
+/// with characters that would need JSON escaping dropped.
+std::string cpuModel() {
+  std::FILE *F = std::fopen("/proc/cpuinfo", "r");
+  std::string Model = "unknown";
+  if (!F)
+    return Model;
+  char Line[512];
+  while (std::fgets(Line, sizeof Line, F)) {
+    const char *Colon = std::strchr(Line, ':');
+    if (std::strncmp(Line, "model name", 10) != 0 || !Colon)
+      continue;
+    Model.clear();
+    for (const char *C = Colon + 1; *C && *C != '\n'; ++C)
+      if (*C != '"' && *C != '\\' && static_cast<unsigned char>(*C) >= 0x20 &&
+          !(Model.empty() && *C == ' '))
+        Model += *C;
+    break;
+  }
+  std::fclose(F);
+  return Model;
+}
+
 long peakRssKb() {
   struct rusage Ru;
   if (getrusage(RUSAGE_SELF, &Ru) != 0)
     return 0;
   return Ru.ru_maxrss; // KiB on Linux
+}
+
+double median(std::vector<double> V) {
+  std::sort(V.begin(), V.end());
+  size_t N = V.size();
+  return N % 2 ? V[N / 2] : (V[N / 2 - 1] + V[N / 2]) / 2;
+}
+
+/// Median absolute deviation of \p V from its median \p Med.
+double medianAbsDev(const std::vector<double> &V, double Med) {
+  std::vector<double> Dev;
+  for (double X : V)
+    Dev.push_back(std::abs(X - Med));
+  return median(std::move(Dev));
 }
 
 /// The exact config of a matrix cell.
@@ -191,34 +239,56 @@ sim::SimConfig cellConfig(sim::SimConfig Cfg, const EngineSpec &Spec) {
   return Cfg;
 }
 
-/// One timed run. Only Machine::run is on the clock; assembly and image
-/// load are setup. Verification is the caller's job (via the hook) —
-/// a bench must never report numbers from a broken run.
-EngineResult timedRun(const assembler::Program &Prog,
-                      const sim::SimConfig &Cfg, const EngineSpec &Spec,
-                      const std::function<void(sim::Machine &)> &Verify) {
-  sim::Machine M(cellConfig(Cfg, Spec));
+/// One timed run of an engine cell, appended to \p R: the first run sets
+/// the fingerprint, every later one must reproduce it. Only Machine::run
+/// is on the clock; assembly and image load are setup. Verification is
+/// the caller's job (via the hook) — a bench must never report numbers
+/// from a broken run.
+void timedRun(EngineResult &R, const assembler::Program &Prog,
+              const sim::SimConfig &Cfg,
+              const std::function<void(sim::Machine &)> &Verify) {
+  sim::Machine M(cellConfig(Cfg, R.Spec));
   M.load(Prog);
   auto T0 = std::chrono::steady_clock::now();
   sim::RunStatus S = M.run();
   auto T1 = std::chrono::steady_clock::now();
   if (S != sim::RunStatus::Exited) {
     std::fprintf(stderr, "bench_simspeed: %s run did not exit cleanly: %s\n",
-                 Spec.name().c_str(), M.faultMessage().c_str());
+                 R.Spec.name().c_str(), M.faultMessage().c_str());
     std::exit(1);
   }
   Verify(M);
-  EngineResult R;
-  R.Spec = Spec;
-  R.Fp = {S, M.cycles(), M.retired(), M.traceHash()};
-  R.HostSeconds = std::chrono::duration<double>(T1 - T0).count();
+  Fingerprint Fp = {S, M.cycles(), M.retired(), M.traceHash()};
+  if (R.Samples.empty())
+    R.Fp = Fp;
+  else if (!(Fp == R.Fp)) {
+    std::fprintf(stderr, "bench_simspeed: %s is not deterministic: run %zu "
+                         "has trace hash %016llx, run 1 %016llx\n",
+                 R.Spec.name().c_str(), R.Samples.size() + 1,
+                 static_cast<unsigned long long>(Fp.Hash),
+                 static_cast<unsigned long long>(R.Fp.Hash));
+    std::exit(1);
+  }
+  R.Samples.push_back(std::chrono::duration<double>(T1 - T0).count());
+  R.PeakRssKb = peakRssKb();
+  R.EngineUsed = M.engineName();
+  R.Tallies = M.fastPathStats();
+}
+
+/// Timed runs per engine cell. Reference and fastpath runs alternate in
+/// pairs, the first pair reference-first and the next fastpath-first, so
+/// slow drift of the host lands on both engines.
+constexpr unsigned EnginePairs = 5;
+
+/// Median, minimum, MAD and the rates at the median time of \p R.
+void summarize(EngineResult &R) {
+  R.HostSeconds = median(R.Samples);
+  R.MinSeconds = *std::min_element(R.Samples.begin(), R.Samples.end());
+  R.MadSeconds = medianAbsDev(R.Samples, R.HostSeconds);
   if (R.HostSeconds > 0.0) {
     R.CyclesPerSec = static_cast<double>(R.Fp.Cycles) / R.HostSeconds;
     R.Mips = static_cast<double>(R.Fp.Retired) / R.HostSeconds / 1e6;
   }
-  R.PeakRssKb = peakRssKb();
-  R.EngineUsed = M.engineName();
-  return R;
 }
 
 struct Options {
@@ -230,6 +300,8 @@ struct Options {
   /// workload cell — a seeded divergence that exercises the whole
   /// divergence -> triage -> JSON pipeline (CI smoke).
   uint64_t Perturb = 0;
+  /// Recorded in the JSON's build fingerprint (--git-sha).
+  std::string GitSha = "unknown";
 };
 
 WorkloadResult
@@ -249,12 +321,24 @@ runWorkload(const Options &Opt, const std::string &Name,
 
   // The reference fingerprint every other cell is compared against.
   using Kind = EngineSpec::Kind;
-  if (Opt.RunReference)
-    W.Engines.push_back(timedRun(R.Prog, Cfg, {Kind::Reference}, Verify));
-  if (Opt.RunFastPath)
-    W.Engines.push_back(timedRun(R.Prog, Cfg, {Kind::FastPath}, Verify));
+  for (Kind K : {Kind::Reference, Kind::FastPath}) {
+    if (K == Kind::Reference ? Opt.RunReference : Opt.RunFastPath) {
+      W.Engines.emplace_back();
+      W.Engines.back().Spec.K = K;
+    }
+  }
   if (W.Engines.empty())
     return W;
+  for (unsigned Pair = 0; Pair != EnginePairs; ++Pair) {
+    if (Pair % 2 == 0)
+      for (EngineResult &E : W.Engines)
+        timedRun(E, R.Prog, Cfg, Verify);
+    else
+      for (auto E = W.Engines.rbegin(); E != W.Engines.rend(); ++E)
+        timedRun(*E, R.Prog, Cfg, Verify);
+  }
+  for (EngineResult &E : W.Engines)
+    summarize(E);
 
   const EngineSpec &RefSpec = W.Engines.front().Spec;
   const Fingerprint &Ref = W.Engines.front().Fp;
@@ -298,8 +382,10 @@ runWorkload(const Options &Opt, const std::string &Name,
   std::printf("%-24s %3u cores  %10llu cycles", Name.c_str(), W.Cores,
               static_cast<unsigned long long>(Ref.Cycles));
   for (const EngineResult &E : W.Engines)
-    std::printf("  %s %.1f kc/s", E.Spec.name().c_str(),
-                E.CyclesPerSec / 1e3);
+    std::printf("  %s %.1f kc/s (MAD %.1f%%)", E.Spec.name().c_str(),
+                E.CyclesPerSec / 1e3,
+                E.HostSeconds > 0.0 ? E.MadSeconds / E.HostSeconds * 100.0
+                                    : 0.0);
   std::printf("\n");
   std::fflush(stdout);
   return W;
@@ -409,12 +495,6 @@ uint64_t steadyStateAllocs(const assembler::Program &Prog,
   return After - Before;
 }
 
-double median(std::vector<double> V) {
-  std::sort(V.begin(), V.end());
-  size_t N = V.size();
-  return N % 2 ? V[N / 2] : (V[N / 2 - 1] + V[N / 2]) / 2;
-}
-
 /// The cost of one hash-neutral observer (the counter sink or the
 /// interval-digest ring) on the barrier workload, as alternating
 /// off/on pairs of runs: pair I runs "off" first when I is even and
@@ -490,10 +570,7 @@ OverheadCost measureOverhead(const char *What, const Options &Opt,
   Cost.DisabledSeconds = median(Cost.OffSeconds);
   Cost.EnabledSeconds = median(Cost.OnSeconds);
   Cost.OverheadPct = median(Cost.OverheadPcts);
-  std::vector<double> Dev;
-  for (double P : Cost.OverheadPcts)
-    Dev.push_back(std::abs(P - Cost.OverheadPct));
-  Cost.OverheadMadPct = median(Dev);
+  Cost.OverheadMadPct = medianAbsDev(Cost.OverheadPcts, Cost.OverheadPct);
 
   Cost.SteadyAllocs = steadyStateAllocs(Prog, On, Harts);
   if (Cost.SteadyAllocs != 0) {
@@ -672,8 +749,16 @@ void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
                  D.TriageJson.empty() ? "null" : D.TriageJson.c_str());
   }
   std::fprintf(F, "%s],\n", Divergences.empty() ? "" : "\n  ");
-  std::fprintf(F, "  \"host_threads\": %u,\n",
-               std::thread::hardware_concurrency());
+  std::fprintf(F,
+               "  \"host\": {\"cpu_model\": \"%s\", "
+               "\"hardware_concurrency\": %u},\n",
+               cpuModel().c_str(), std::thread::hardware_concurrency());
+  std::fprintf(F,
+               "  \"build\": {\"compiler\": \"%s\", \"build_type\": \"%s\", "
+               "\"lto\": %s, \"git_sha\": \"%s\"},\n",
+               LBP_BENCH_COMPILER, LBP_BENCH_BUILD_TYPE,
+               LBP_BENCH_LTO ? "true" : "false", Opt.GitSha.c_str());
+  std::fprintf(F, "  \"engine_pairs\": %u,\n", EnginePairs);
   std::fprintf(F,
                "  \"steady_state_allocs\": {\"reference\": %llu, "
                "\"fastpath\": %llu},\n",
@@ -701,12 +786,34 @@ void writeJson(const Options &Opt, const std::vector<WorkloadResult> &Results,
       const EngineResult &E = W.Engines[J];
       std::fprintf(F,
                    "        {\"engine\": \"%s\", "
-                   "\"host_seconds\": %.6f, \"cycles_per_sec\": %.1f, "
+                   "\"host_seconds\": %.6f, \"min_seconds\": %.6f, "
+                   "\"mad_seconds\": %.6f, \"samples\": [",
+                   E.Spec.name().c_str(), E.HostSeconds, E.MinSeconds,
+                   E.MadSeconds);
+      for (size_t K = 0; K != E.Samples.size(); ++K)
+        std::fprintf(F, "%s%.6f", K ? ", " : "", E.Samples[K]);
+      std::fprintf(F,
+                   "],\n         \"cycles_per_sec\": %.1f, "
                    "\"mips\": %.3f, \"peak_rss_kb\": %ld, "
                    "\"identical\": %s, \"engine_used\": \"%s\"",
-                   E.Spec.name().c_str(), E.HostSeconds, E.CyclesPerSec,
-                   E.Mips, E.PeakRssKb, E.Identical ? "true" : "false",
-                   E.EngineUsed.c_str());
+                   E.CyclesPerSec, E.Mips, E.PeakRssKb,
+                   E.Identical ? "true" : "false", E.EngineUsed.c_str());
+      if (E.Spec.K == EngineSpec::Kind::FastPath) {
+        const sim::Machine::FastPathStats &T = E.Tallies;
+        std::fprintf(
+            F,
+            ",\n         \"fastpath\": {\"core_passes\": %llu, "
+            "\"visited_cycles\": %llu, \"passes_per_visited_cycle\": %.3f, "
+            "\"rebuilds\": %llu, \"jumps\": %llu, \"skipped_cycles\": %llu}",
+            static_cast<unsigned long long>(T.CorePasses),
+            static_cast<unsigned long long>(T.VisitedCycles),
+            T.VisitedCycles ? static_cast<double>(T.CorePasses) /
+                                  static_cast<double>(T.VisitedCycles)
+                            : 0.0,
+            static_cast<unsigned long long>(T.Rebuilds),
+            static_cast<unsigned long long>(T.Jumps),
+            static_cast<unsigned long long>(T.SkippedCycles));
+      }
       std::fprintf(F, "}%s\n", J + 1 == W.Engines.size() ? "" : ",");
     }
     std::fprintf(F, "      ],\n");
@@ -734,6 +841,7 @@ void printUsage(const char *Argv0) {
       "                   and the interval-digest ring's overhead\n"
       "                   (hash-neutrality and steady-state allocation\n"
       "                   asserted; docs/OBSERVABILITY.md)\n"
+      "  --git-sha SHA    commit recorded in the JSON's build fingerprint\n"
       "  --perturb N      arm SimConfig::PerturbForTest at cycle N so the\n"
       "                   differential matrix diverges on purpose; the\n"
       "                   divergence records then embed triage reports\n"
@@ -758,6 +866,14 @@ int main(int argc, char **argv) {
       Opt.Counters = true;
     } else if (std::strcmp(argv[I], "--out") == 0 && I + 1 < argc) {
       Opt.OutPath = argv[++I];
+    } else if (std::strcmp(argv[I], "--git-sha") == 0 && I + 1 < argc) {
+      Opt.GitSha = argv[++I];
+      if (Opt.GitSha.find_first_not_of("0123456789abcdefABCDEF") !=
+          std::string::npos) {
+        std::fprintf(stderr, "bench_simspeed: bad --git-sha '%s'\n",
+                     argv[I]);
+        return 2;
+      }
     } else if (std::strcmp(argv[I], "--perturb") == 0 && I + 1 < argc) {
       char *End = nullptr;
       Opt.Perturb = std::strtoull(argv[++I], &End, 0);

@@ -15,6 +15,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <bit>
 
 using namespace lbp;
 using namespace lbp::sim;
@@ -36,6 +37,8 @@ Machine::Machine(const SimConfig &Config)
                        Cfg.TraceLineFile.c_str()));
   StallByCore.assign(Cfg.NumCores * NumStallSlots, 0);
   CoreWake.assign(Cfg.NumCores, 0);
+  AwakeBits.assign((Cfg.NumCores + 63) / 64, 0);
+  AwakeWalk.assign(AwakeBits.size(), 0);
   if (Cfg.CollectCounters) {
     Obs = std::make_unique<obs::PerfCounters>();
     Obs->init(Cfg);
@@ -1354,39 +1357,82 @@ uint64_t Machine::nextDeliveryCycle() const {
   return Next;
 }
 
-bool Machine::cycleStages() {
-  bool Acted = false;
+void Machine::rebuildAwake(uint64_t Now) {
+  ++FStats.Rebuilds;
+  std::fill(AwakeBits.begin(), AwakeBits.end(), 0);
+  WakeBound = UINT64_MAX;
   for (unsigned CoreId = 0; CoreId != Cfg.NumCores; ++CoreId) {
-    Core &C = Cores[CoreId];
-    // Active-set scheduling: a sleeping core provably cannot act
-    // before its WakeAt (deliveries and hart frees pull it forward),
-    // and the round-robin pointers only advance on actions, so
-    // skipping its stages is invisible to the event stream.
-    if (FastRun && Cycle < CoreWake[CoreId])
-      continue;
-    bool CoreActed = stageCommit(CoreId);
-    if (Halted)
-      break;
-    CoreActed |= stageWriteback(CoreId);
-    CoreActed |= stageIssue(CoreId);
-    if (Halted)
-      break;
-    CoreActed |= stageDecode(CoreId);
-    if (Halted)
-      break;
-    CoreActed |= stageFetch(CoreId);
-    if (Halted)
-      break;
-    if (FastRun) {
+    uint64_t W = CoreWake[CoreId];
+    if (W <= Now)
+      AwakeBits[CoreId / 64] |= uint64_t(1) << (CoreId % 64);
+    else if (W < WakeBound)
+      WakeBound = W;
+  }
+}
+
+bool Machine::coreStages(unsigned CoreId) {
+  bool Acted = stageCommit(CoreId);
+  if (Halted)
+    return Acted;
+  Acted |= stageWriteback(CoreId);
+  Acted |= stageIssue(CoreId);
+  if (Halted)
+    return Acted;
+  Acted |= stageDecode(CoreId);
+  if (Halted)
+    return Acted;
+  return stageFetch(CoreId) | Acted;
+}
+
+bool Machine::cycleStages() {
+  if (!FastRun) {
+    for (unsigned CoreId = 0; CoreId != Cfg.NumCores; ++CoreId) {
+      coreStages(CoreId);
+      if (Halted)
+        break;
+    }
+    return false;
+  }
+
+  // Active-set scheduling: a sleeping core provably cannot act before
+  // its CoreWake entry (deliveries and hart frees pull it forward), and
+  // the round-robin pointers only advance on actions, so skipping its
+  // stages is invisible to the event stream. The pass walks the awake
+  // set in core order, which is the reference loop's order minus the
+  // cores that would have no-opped. It walks a copy: a wake during the
+  // stages is for Cycle + 1 (wakeCore asserts it), so it must not make
+  // a later core run this cycle.
+  if (Cycle >= WakeBound)
+    rebuildAwake(Cycle); // a sleeping core's timer may be due
+  std::copy(AwakeBits.begin(), AwakeBits.end(), AwakeWalk.begin());
+  InStages = true;
+  bool Acted = false;
+  for (size_t Word = 0; Word != AwakeWalk.size(); ++Word) {
+    for (uint64_t Bits = AwakeWalk[Word]; Bits != 0; Bits &= Bits - 1) {
+      unsigned CoreId =
+          static_cast<unsigned>(Word * 64 + std::countr_zero(Bits));
+      assert(CoreWake[CoreId] <= Cycle && "awake bit on a sleeping core");
+      ++FStats.CorePasses;
+      bool CoreActed = coreStages(CoreId);
+      if (Halted) {
+        InStages = false;
+        return Acted;
+      }
       if (CoreActed) {
         CoreWake[CoreId] = Cycle; // stay hot: more work next cycle
         Acted = true;
       } else {
-        // Later same-cycle wakeCore calls still pull this forward.
-        CoreWake[CoreId] = coreWakeCycle(C, Cycle);
+        // Later same-cycle wakeCore calls still pull this forward and
+        // put the core back in the set.
+        uint64_t W = coreWakeCycle(Cores[CoreId], Cycle);
+        CoreWake[CoreId] = W;
+        AwakeBits[Word] &= ~(uint64_t(1) << (CoreId % 64));
+        if (W < WakeBound)
+          WakeBound = W;
       }
     }
   }
+  InStages = false;
   return Acted;
 }
 
@@ -1404,6 +1450,16 @@ RunStatus Machine::run(uint64_t MaxCycles) {
   Halted = false;
   uint64_t Budget = MaxCycles;
   const bool Sweeps = Cfg.EnableCheckers && Cfg.CheckInterval != 0;
+  const uint64_t Interval = Cfg.CheckInterval;
+  // The next sweep boundary strictly after the current cycle; the loop
+  // advances it instead of dividing every cycle.
+  uint64_t NextSweep = Sweeps ? (Cycle / Interval + 1) * Interval : 0;
+  // The awake set is derived state: rebuild it from CoreWake for the
+  // first pass (this also covers a snapshot restore and load()).
+  const uint64_t StartCycle = Cycle;
+  const uint64_t SkippedBefore = FStats.SkippedCycles;
+  if (FastRun)
+    rebuildAwake(Cycle + 1);
 
   while (!Halted && Budget-- != 0) {
     ++Cycle;
@@ -1423,7 +1479,8 @@ RunStatus Machine::run(uint64_t MaxCycles) {
     if (Halted)
       break;
 
-    if (Sweeps && Cycle % Cfg.CheckInterval == 0) {
+    if (Sweeps && Cycle == NextSweep) {
+      NextSweep += Interval;
       Ck.sweep(*this);
       if (Halted)
         break;
@@ -1441,18 +1498,25 @@ RunStatus Machine::run(uint64_t MaxCycles) {
     // (d) the first checker sweep that could report on the frozen
     // state. Jump to just before that cycle; the skipped cycles are
     // exactly the ones on which the reference loop does nothing
-    // observable, so the event stream is bit-identical.
+    // observable, so the event stream is bit-identical. WakeBound
+    // stands in for (a): it is never above the earliest timer, and a
+    // low one only lands the loop on a cycle where nothing happens.
     if (FastRun && !Acted) {
+      // Every core that ran went back to sleep, and only an acting
+      // commit frees a hart (the one wake for Cycle + 1 a pass makes),
+      // so the awake set is empty and WakeBound covers every core.
+      assert(std::all_of(AwakeBits.begin(), AwakeBits.end(),
+                         [](uint64_t Word) { return Word == 0; }) &&
+             "a core is awake after a pass in which none acted");
       uint64_t Target = nextDeliveryCycle();
-      for (uint64_t W : CoreWake)
-        if (W < Target)
-          Target = W;
+      if (WakeBound < Target)
+        Target = WakeBound;
       uint64_t LivelockAt = Cfg.ProgressGuard >= UINT64_MAX - LastProgress
                                 ? UINT64_MAX
                                 : LastProgress + Cfg.ProgressGuard + 1;
       if (LivelockAt < Target)
         Target = LivelockAt;
-      if (Sweeps) {
+      if (Sweeps && Target > Cycle + 1) {
         uint64_t Concern = Ck.nextSweepConcern(*this);
         if (Concern < Target)
           Target = Concern;
@@ -1465,14 +1529,21 @@ RunStatus Machine::run(uint64_t MaxCycles) {
         if (Span > Budget)
           Span = Budget;
         if (Span != 0) {
-          if (Sweeps)
-            Ck.onSkip(Cycle, Cycle + Span, Cfg.CheckInterval);
+          if (Sweeps) {
+            Ck.onSkip(Cycle, Cycle + Span, Interval);
+            NextSweep = ((Cycle + Span) / Interval + 1) * Interval;
+          }
           Cycle += Span;
           Budget -= Span;
+          ++FStats.Jumps;
+          FStats.SkippedCycles += Span;
         }
       }
     }
   }
+  if (FastRun)
+    FStats.VisitedCycles +=
+        Cycle - StartCycle - (FStats.SkippedCycles - SkippedBefore);
   Tr.flushDigests(Cycle);
   return Status;
 }

@@ -26,6 +26,7 @@
 #include "sim/Memory.h"
 #include "sim/Trace.h"
 
+#include <cassert>
 #include <memory>
 #include <string>
 
@@ -195,6 +196,20 @@ public:
   };
   const EngineStats &engineStats() const { return EStats; }
 
+  /// Host-side tallies of the fast path's scheduling decisions
+  /// (docs/PERFORMANCE.md "The two mechanisms"). They count work the
+  /// simulator did, not anything the simulated machine did: they are
+  /// not part of a snapshot, never touch the trace hash, accumulate
+  /// across run() calls and stay zero on the reference loop.
+  struct FastPathStats {
+    uint64_t CorePasses = 0;    ///< One core's five stages for one cycle.
+    uint64_t VisitedCycles = 0; ///< Cycles the loop ran, not jumped over.
+    uint64_t Rebuilds = 0;      ///< Awake-set rebuilds from CoreWake.
+    uint64_t Jumps = 0;         ///< Quiescence jumps taken.
+    uint64_t SkippedCycles = 0; ///< Cycles those jumps skipped.
+  };
+  const FastPathStats &fastPathStats() const { return FStats; }
+
   /// The deterministic counter set (SimConfig::CollectCounters;
   /// docs/OBSERVABILITY.md). Disabled and empty unless configured.
   const obs::PerfCounters &counters() const {
@@ -282,10 +297,13 @@ private:
   /// Arms SimConfig::PerturbForTest on the trace for this run (run()
   /// calls it once the engine is selected — the payload encodes it).
   void armPerturb();
-  /// One pass over every core's stages for the current cycle, skipping
-  /// sleeping cores on the fast path. Returns true when any core acted;
-  /// false also on halt.
+  /// One pass over the stages for the current cycle: every core on the
+  /// reference loop, only the awake set on the fast path. Returns true
+  /// when any core acted on the fast path; false also on halt.
   bool cycleStages();
+  /// One core's five stages for the current cycle; true when any acted.
+  /// Stops early on halt (the caller checks Halted).
+  bool coreStages(unsigned CoreId);
 
   // -- Fast path (SimConfig::FastPath; docs/PERFORMANCE.md) -------------
   /// Earliest cycle strictly comparable to \p Now at which any stage of
@@ -296,11 +314,21 @@ private:
   /// act).
   uint64_t coreWakeCycle(const Core &C, uint64_t Now) const;
   /// Pulls \p CoreId's wake cycle forward to \p At (never pushes it
-  /// back).
+  /// back) and puts the core in the awake set. No stage wakes a core for
+  /// the current cycle (deliveries run before the stages; hart frees
+  /// wake at Cycle + 1), which is what lets the stage walk iterate a
+  /// copy of the set.
   void wakeCore(unsigned CoreId, uint64_t At) {
-    if (At < CoreWake[CoreId])
+    assert((At > Cycle || !InStages) &&
+           "a stage woke a core for the current cycle");
+    if (At < CoreWake[CoreId]) {
       CoreWake[CoreId] = At;
+      AwakeBits[CoreId / 64] |= uint64_t(1) << (CoreId % 64);
+    }
   }
+  /// Recomputes the awake set and WakeBound from CoreWake for a stage
+  /// pass at cycle \p Now.
+  void rebuildAwake(uint64_t Now);
   /// Cycle of the earliest pending delivery strictly after Cycle, or
   /// UINT64_MAX when none is in flight.
   uint64_t nextDeliveryCycle() const;
@@ -329,6 +357,22 @@ private:
   /// are harmless (the stages no-op and the core re-sleeps); the
   /// reference path ignores it.
   std::vector<uint64_t> CoreWake;
+  /// The fast path's awake set, derived from CoreWake and never
+  /// serialized: bit CoreId % 64 of word CoreId / 64 is set exactly when
+  /// CoreWake[CoreId] <= the cycle of the next stage pass. wakeCore sets
+  /// bits; the end of a core's pass clears its bit when it sleeps.
+  std::vector<uint64_t> AwakeBits;
+  /// The copy of AwakeBits one stage pass walks.
+  std::vector<uint64_t> AwakeWalk;
+  /// Lower bound on CoreWake over the cores outside the awake set: no
+  /// sleeping core's timer fires before it. A pass at or past it
+  /// rebuilds the set. Low is safe (a rebuild or a visited cycle that
+  /// does nothing); high would skip a timer, so it is only ever lowered
+  /// between rebuilds.
+  uint64_t WakeBound = 0;
+  /// True while the fast path walks the awake set (wakeCore's assert).
+  bool InStages = false;
+  FastPathStats FStats;
 
   uint64_t Cycle = 0;
   uint64_t LastProgress = 0;

@@ -308,9 +308,16 @@ struct SnapshotAccess {
     for (uint64_t C : N.ContByClass)
       W.u64(C);
   }
-  static bool restoreVecU64(ByteReader &R, std::vector<uint64_t> &Out,
-                            std::string &Err, const char *What) {
-    std::vector<uint64_t> V = R.vecU64();
+  /// Reads a vector that must keep Out's length (the machine indexes it
+  /// by core or hart without bounds checks).
+  template <typename T>
+  static bool restoreVec(ByteReader &R, std::vector<T> &Out,
+                         std::string &Err, const char *What) {
+    std::vector<T> V;
+    if constexpr (sizeof(T) == 8)
+      V = R.vecU64();
+    else
+      V = R.vecU32();
     if (V.size() != Out.size()) {
       Err = std::string("snapshot: size mismatch in ") + What;
       return false;
@@ -326,14 +333,14 @@ struct SnapshotAccess {
         &N.R1DownResp, &N.R2UpReq,    &N.R2UpResp, &N.R2DownReq,
         &N.R2DownResp, &N.Forward,    &N.Backward};
     for (std::vector<uint64_t> *F : Fields)
-      if (!restoreVecU64(R, *F, Err, "interconnect reservations"))
+      if (!restoreVec(R, *F, Err, "interconnect reservations"))
         return false;
     N.IoPort = R.u64();
     N.Contention = R.u64();
-    if (!restoreVecU64(R, N.FwdCount, Err, "interconnect counters") ||
-        !restoreVecU64(R, N.BwdCount, Err, "interconnect counters") ||
-        !restoreVecU64(R, N.BankReqs, Err, "interconnect counters") ||
-        !restoreVecU64(R, N.BankWait, Err, "interconnect counters"))
+    if (!restoreVec(R, N.FwdCount, Err, "interconnect counters") ||
+        !restoreVec(R, N.BwdCount, Err, "interconnect counters") ||
+        !restoreVec(R, N.BankReqs, Err, "interconnect counters") ||
+        !restoreVec(R, N.BankWait, Err, "interconnect counters"))
       return false;
     for (uint64_t &C : N.ContByClass)
       C = R.u64();
@@ -466,10 +473,13 @@ struct SnapshotAccess {
     }
     if (!C)
       return true;
-    C->CommitsPerCore = R.vecU64();
-    C->CommitsPerHart = R.vecU64();
-    C->BankReads = R.vecU64();
-    C->BankWrites = R.vecU64();
+    // Every vector keeps the length PerfCounters::init gave it: the hook
+    // sites index them by core and hart without bounds checks.
+    if (!restoreVec(R, C->CommitsPerCore, Err, "counters") ||
+        !restoreVec(R, C->CommitsPerHart, Err, "counters") ||
+        !restoreVec(R, C->BankReads, Err, "counters") ||
+        !restoreVec(R, C->BankWrites, Err, "counters"))
+      return false;
     C->LocalReads = R.u64();
     C->LocalWrites = R.u64();
     C->IoReads = R.u64();
@@ -486,10 +496,9 @@ struct SnapshotAccess {
     C->TokenLatency.Max = R.u64();
     C->FaultsInjected = R.u64();
     C->MachineChecks = R.u64();
-    C->RobHigh = R.vecU32();
-    C->SlotHigh = R.vecU32();
-    C->TokenSendCycle = R.vecU64();
-    return R.ok();
+    return restoreVec(R, C->RobHigh, Err, "counters") &&
+           restoreVec(R, C->SlotHigh, Err, "counters") &&
+           restoreVec(R, C->TokenSendCycle, Err, "counters") && R.ok();
   }
 
   // -- Whole machine ---------------------------------------------------
@@ -665,11 +674,17 @@ struct SnapshotAccess {
     M.Hart0InTeam = R.b();
     M.RemoteAccesses = R.u64();
     M.LocalAccesses = R.u64();
-    if (!restoreVecU64(R, M.StallByCore, Err, "stall tallies"))
+    if (!restoreVec(R, M.StallByCore, Err, "stall tallies"))
       return false;
     uint64_t NLog = R.u64();
+    // Each entry takes 25 bytes; a count the blob cannot hold is corrupt
+    // (and would make the reserve below throw).
+    if (NLog > R.remaining() / 25) {
+      Err = "snapshot: memory log longer than the blob";
+      return false;
+    }
     M.MemLog.clear();
-    M.MemLog.reserve(R.ok() ? NLog : 0);
+    M.MemLog.reserve(NLog);
     for (uint64_t I = 0; I != NLog && R.ok(); ++I) {
       Machine::MemAccess A;
       A.Cycle = R.u64();

@@ -96,6 +96,16 @@ class ByteReader {
     return true;
   }
 
+  /// take() for \p N elements of \p Size bytes, without computing
+  /// N * Size (which wraps for a hostile N).
+  bool takeElems(uint64_t N, size_t Size) {
+    if (Fail || N > static_cast<size_t>(End - P) / Size) {
+      Fail = true;
+      return false;
+    }
+    return true;
+  }
+
 public:
   ByteReader(const uint8_t *Data, size_t Size) : P(Data), End(Data + Size) {}
   explicit ByteReader(const std::vector<uint8_t> &V)
@@ -160,20 +170,24 @@ public:
     P += N;
     return V;
   }
+  /// A count-prefixed vector of 32-bit words. A count larger than the
+  /// bytes left could hold fails the reader (the division keeps a huge
+  /// count from wrapping the size check) and yields an empty vector.
   std::vector<uint32_t> vecU32() {
     uint64_t N = u64();
     std::vector<uint32_t> V;
-    if (Fail || static_cast<size_t>(End - P) < N * 4)
+    if (!takeElems(N, 4))
       return V;
     V.reserve(N);
     for (uint64_t I = 0; I != N; ++I)
       V.push_back(u32());
     return V;
   }
+  /// As vecU32, for 64-bit words.
   std::vector<uint64_t> vecU64() {
     uint64_t N = u64();
     std::vector<uint64_t> V;
-    if (Fail || static_cast<size_t>(End - P) < N * 8)
+    if (!takeElems(N, 8))
       return V;
     V.reserve(N);
     for (uint64_t I = 0; I != N; ++I)

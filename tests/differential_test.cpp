@@ -245,6 +245,17 @@ TEST(FastPathDifferential, PhasesAndPipeline) {
   LCfg.GlobalBankSizeLog2 = LSpec.BankSizeLog2;
   expectFastPathIdentical(workloads::buildPipelineProgram(LSpec), LCfg,
                           "pipeline");
+
+  // 72 cores: the awake set takes two 64-bit words and the second holds
+  // only 8 cores, so the walk must cross a word boundary and stop at
+  // the partial word's last core.
+  workloads::PhasesSpec WSpec;
+  WSpec.NumHarts = 288;
+  SimConfig WCfg = SimConfig::lbp(WSpec.cores());
+  WCfg.GlobalBankSizeLog2 = WSpec.BankSizeLog2;
+  ASSERT_EQ(WCfg.NumCores, 72u);
+  expectFastPathIdentical(workloads::buildPhasesProgram(WSpec), WCfg,
+                          "phases on 72 cores");
 }
 
 TEST(FastPathDifferential, DetCCorpus) {
@@ -264,6 +275,46 @@ TEST(FastPathDifferential, DetCCorpus) {
   }
 }
 
+/// One hart dividing in a dependent chain: between divides every core is
+/// asleep and the only wake-up is the divide's timer, so the fast path
+/// jumps over each wait.
+const char *DivideChainSrc = R"(
+main:
+    li a2, 1000000
+    li a3, 3
+    li a6, 40
+chain:
+    div a2, a2, a3
+    addi a6, a6, -1
+    bnez a6, chain
+    li ra, 0
+    li t0, -1
+    p_ret
+)";
+
+/// Cycles the fast path jumped over in a run of \p Prog cut at \p MaxCycles.
+uint64_t skippedWithin(const assembler::Program &Prog, SimConfig Cfg,
+                       uint64_t MaxCycles) {
+  Cfg.FastPath = true;
+  Machine M(Cfg);
+  M.load(Prog);
+  M.run(MaxCycles);
+  return M.fastPathStats().SkippedCycles;
+}
+
+/// The cycle at which the fast path's \p Nth skipped cycle falls. A cut
+/// there lands inside a quiescence jump. Skips clip to the budget, so
+/// the count is monotone in the cut and a bisection finds it.
+uint64_t nthSkippedCycle(const assembler::Program &Prog, const SimConfig &Cfg,
+                         uint64_t N, uint64_t Hi) {
+  uint64_t Lo = 0; // skippedWithin(Lo) < N <= skippedWithin(Hi)
+  while (Hi - Lo > 1) {
+    uint64_t Mid = Lo + (Hi - Lo) / 2;
+    (skippedWithin(Prog, Cfg, Mid) >= N ? Hi : Lo) = Mid;
+  }
+  return Hi;
+}
+
 TEST(FastPathDifferential, MaxCyclesTruncation) {
   // A run cut off mid-flight must stop at the same cycle with the same
   // trace whether or not the engine was skipping quiescent spans: the
@@ -280,6 +331,85 @@ TEST(FastPathDifferential, MaxCyclesTruncation) {
                      static_cast<unsigned long long>(MaxCycles)),
         MaxCycles);
   }
+
+  // Cuts inside sleep spans: at the first, the middle and the last cycle
+  // the fast path jumps over. Each truncated run then resumes on the
+  // same machine (the awake set is rebuilt at every run() start) and
+  // must finish exactly like the uninterrupted reference run.
+  assembler::AsmResult R = assembler::assemble(DivideChainSrc);
+  ASSERT_TRUE(R.succeeded()) << R.errorText();
+  SimConfig DCfg = SimConfig::lbp(4);
+  Machine Full(DCfg);
+  Full.load(R.Prog);
+  ASSERT_EQ(Full.run(), RunStatus::Exited);
+  uint64_t Skipped = skippedWithin(R.Prog, DCfg, UINT64_MAX);
+  ASSERT_GT(Skipped, 100u) << "the chain no longer sleeps";
+  RunFingerprint Want = runWith(R.Prog, DCfg, /*FastPath=*/false, UINT64_MAX);
+  SimConfig FastCfg = DCfg;
+  FastCfg.FastPath = true;
+  for (uint64_t N : {uint64_t(1), Skipped / 2, Skipped}) {
+    uint64_t Cut = nthSkippedCycle(R.Prog, DCfg, N, Full.cycles());
+    ASSERT_EQ(skippedWithin(R.Prog, DCfg, Cut),
+              skippedWithin(R.Prog, DCfg, Cut - 1) + 1)
+        << "cycle " << Cut << " is not inside a jump";
+    std::string What = formatString("divide chain truncated at %llu",
+                                     static_cast<unsigned long long>(Cut));
+    expectFastPathIdentical(DivideChainSrc, DCfg, What, Cut);
+
+    Machine M(FastCfg);
+    M.load(R.Prog);
+    EXPECT_EQ(M.run(Cut), RunStatus::MaxCycles) << What;
+    EXPECT_EQ(M.cycles(), Cut) << What;
+    RunStatus S = M.run();
+    EXPECT_EQ(static_cast<int>(S), static_cast<int>(Want.Status)) << What;
+    EXPECT_EQ(M.cycles(), Want.Cycles) << What;
+    EXPECT_EQ(M.retired(), Want.Retired) << What;
+    EXPECT_EQ(M.traceHash(), Want.Hash) << What;
+  }
+}
+
+TEST(FastPathDifferential, TalliesAreHashNeutral) {
+  // The fast-path tallies are host-side counts: reading them between run
+  // slices must leave the trace hash of a one-shot run, and they must
+  // add up (every cycle is either visited or skipped, and a visit never
+  // costs more core passes than the machine has cores).
+  workloads::PhasesSpec Spec;
+  Spec.NumHarts = 16;
+  SimConfig Cfg = SimConfig::lbp(Spec.cores());
+  Cfg.GlobalBankSizeLog2 = Spec.BankSizeLog2;
+  assembler::AsmResult R =
+      assembler::assemble(workloads::buildPhasesProgram(Spec));
+  ASSERT_TRUE(R.succeeded()) << R.errorText();
+
+  Machine Unread(Cfg);
+  Unread.load(R.Prog);
+  ASSERT_EQ(Unread.run(), RunStatus::Exited);
+
+  Machine Read(Cfg);
+  Read.load(R.Prog);
+  uint64_t LastPasses = 0;
+  while (Read.run(500) == RunStatus::MaxCycles) {
+    const Machine::FastPathStats &S = Read.fastPathStats();
+    EXPECT_GE(S.CorePasses, LastPasses);
+    LastPasses = S.CorePasses;
+  }
+  EXPECT_EQ(Read.status(), RunStatus::Exited);
+  EXPECT_EQ(Read.traceHash(), Unread.traceHash());
+  EXPECT_EQ(Read.cycles(), Unread.cycles());
+
+  const Machine::FastPathStats &S = Unread.fastPathStats();
+  EXPECT_EQ(S.VisitedCycles + S.SkippedCycles, Unread.cycles());
+  EXPECT_GT(S.Rebuilds, 0u);
+  EXPECT_LT(S.CorePasses, S.VisitedCycles * Cfg.NumCores);
+  EXPECT_EQ(S.Jumps == 0, S.SkippedCycles == 0);
+
+  Cfg.FastPath = false;
+  Machine Ref(Cfg);
+  Ref.load(R.Prog);
+  Ref.run();
+  EXPECT_EQ(Ref.traceHash(), Unread.traceHash());
+  EXPECT_EQ(Ref.fastPathStats().CorePasses, 0u);
+  EXPECT_EQ(Ref.fastPathStats().VisitedCycles, 0u);
 }
 
 } // namespace

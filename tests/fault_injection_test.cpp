@@ -375,6 +375,38 @@ TEST(FastPathFaultInteraction, LivelockFiresAtSameCycleWhileSkipping) {
   FAIL() << "no seed dropped a token inside the run";
 }
 
+// A lost start message leaves its hart Reserved and the machine frozen;
+// only a checker sweep reports the leak, ProgressGuard / 2 cycles later.
+// The fast path jumps across many sweep boundaries to get there, so its
+// next-sweep cycle must be re-derived after every jump for the report to
+// land on the same sweep as in the reference loop.
+TEST(FastPathFaultInteraction, HartLeakReportedAfterLongJump) {
+  for (uint64_t Seed = 1; Seed <= 64; ++Seed) {
+    SimConfig Cfg = faultConfig(4, Seed);
+    Cfg.Faults.Drops = 1;
+    {
+      Machine Probe(Cfg);
+      if (Probe.faultPlan().events()[0].ClassMask != FaultClassStart)
+        continue;
+    }
+    SimConfig Ref = Cfg, Fast = Cfg;
+    Ref.FastPath = false;
+    Fast.FastPath = true;
+    Outcome A = runTeam(Ref, 16, 200000);
+    if (A.FaultsFired == 0)
+      continue; // armed after the last start
+    ASSERT_EQ(A.Status, RunStatus::Fault) << A.Message;
+    EXPECT_NE(A.Message.find("never received its start message"),
+              std::string::npos)
+        << A.Message;
+    Outcome B = runTeam(Fast, 16, 200000);
+    expectIdentical(A, B, "start-loss seed " + std::to_string(Seed));
+    EXPECT_EQ(A.ChecksSeen, B.ChecksSeen);
+    return;
+  }
+  FAIL() << "no seed dropped a start message inside the run";
+}
+
 // A budget that expires mid-skip: the fast path charges every skipped
 // cycle against MaxCycles, so truncation lands on the same cycle.
 TEST(FastPathFaultInteraction, MaxCyclesTruncationIdenticalOnAndOff) {

@@ -241,6 +241,78 @@ TEST(Snapshot, ResumeMidMultiCycleEpochStretch) {
 }
 
 //===----------------------------------------------------------------------===//
+// Mid run on the 64-core line, cores asleep on timers
+//===----------------------------------------------------------------------===//
+
+/// A 256-hart team on 64 cores in which every fourth member (one per
+/// core) runs a chain of 1,000 dependent divisions before the barrier
+/// and the others go straight to it. While the chains run, a core sleeps
+/// between divides with its wake-up on a timer (the divide's done
+/// cycle) rather than on a delivery.
+std::string divideChainSrc() {
+  romp::AsmText Head;
+  romp::emitMainPrologue(Head);
+  romp::emitParallelCall(Head, "worker", 256, "0");
+  romp::AsmText Tail;
+  romp::emitMainEpilogue(Tail);
+  romp::emitParallelStart(Tail);
+  return Head.str() + Tail.str() + R"(
+    .equ OUT, 0x20000200
+worker:
+    andi a6, a0, 3
+    bnez a6, store
+    li a2, 1000000
+    li a3, 3
+    li a6, 1000
+chain:
+    div a2, a2, a3
+    addi a6, a6, -1
+    bnez a6, chain
+store:
+    slli a4, a0, 2
+    la a5, OUT
+    add a4, a4, a5
+    sw a0, 0(a4)
+    p_syncm
+    p_ret
+)";
+}
+
+TEST(Snapshot, ResumeWhileMostCoresSleepOnTimers) {
+  // Around cycle 16,000 every core has a chain running: about 42 of the
+  // 64 sleep with a divide timer pending and the rest are awake. The
+  // fast path's awake set is not in the blob, so the resumed machine
+  // must rebuild it, and its next-timer bound, from the per-core wake
+  // cycles alone.
+  assembler::Program Prog = assembleOrDie(divideChainSrc());
+  SimConfig Fast = cellConfig(SimConfig::lbp(64), Cells[1]); // fastpath
+  for (const EngineCell &To : Cells) {
+    SimConfig ToCfg = cellConfig(SimConfig::lbp(64), To);
+    for (uint64_t SnapAt : {16000ull, 16007ull})
+      expectResumeIdentical(Prog, Fast, ToCfg, SnapAt,
+                            std::string("timers/fastpath->") + To.Name);
+  }
+
+  // Restoring over a machine that has already run leaves its awake set
+  // describing the wrong run; the rebuild at run() start replaces it.
+  Machine Full(Fast);
+  Full.load(Prog);
+  Fingerprint Want = fingerprint(Full, Full.run());
+  Machine First(Fast);
+  First.load(Prog);
+  First.run(16000);
+  std::vector<uint8_t> Blob;
+  First.saveSnapshot(Blob);
+  Machine Used(Fast);
+  Used.load(Prog);
+  Used.run(24000);
+  std::string Err;
+  ASSERT_TRUE(Used.restoreSnapshot(Blob, Err)) << Err;
+  EXPECT_TRUE(fingerprint(Used, Used.run()) == Want)
+      << "restore over a used machine diverged";
+}
+
+//===----------------------------------------------------------------------===//
 // Mid fault-injection window
 //===----------------------------------------------------------------------===//
 
@@ -430,6 +502,51 @@ TEST(Snapshot, RejectsBadMagicVersionDigestAndTruncation) {
       EXPECT_FALSE(R.restoreSnapshot(B, Err)) << "cut=" << Cut;
     }
   }
+}
+
+/// A 4-core phases snapshot with the counter set armed, and the offset of
+/// its last vector's count: the counters end with TokenSendCycle (one
+/// word per hart), followed only by the device count (8 bytes, no
+/// devices) and the trailer (4 bytes).
+struct CounterBlob {
+  SimConfig Cfg = cellConfig(SimConfig::lbp(4), Cells[1]);
+  std::vector<uint8_t> Blob;
+  size_t TokenSendCountAt = 0;
+
+  CounterBlob() {
+    Machine M(Cfg);
+    M.load(assembleOrDie(phasesSrc()));
+    M.run(100);
+    M.saveSnapshot(Blob);
+    TokenSendCountAt = Blob.size() - 4 - 8 - 8 * Cfg.numHarts() - 8;
+  }
+};
+
+TEST(Snapshot, RejectsHugeVectorCount) {
+  // 2^61 words: the byte count wraps to zero in a multiplied size check,
+  // which used to let vector::reserve throw out of restoreSnapshot.
+  CounterBlob C;
+  std::vector<uint8_t> B = C.Blob;
+  uint64_t Huge = uint64_t(1) << 61;
+  for (unsigned I = 0; I != 8; ++I)
+    B[C.TokenSendCountAt + I] = static_cast<uint8_t>(Huge >> (8 * I));
+  Machine R(C.Cfg);
+  std::string Err;
+  EXPECT_FALSE(R.restoreSnapshot(B, Err));
+  EXPECT_NE(Err.find("counters"), std::string::npos) << Err;
+}
+
+TEST(Snapshot, RejectsVectorTruncatedMidway) {
+  // The blob ends half-way through TokenSendCycle: the short vector must
+  // fail the restore where it is, not parse on from misaligned bytes.
+  CounterBlob C;
+  std::vector<uint8_t> B(C.Blob.begin(),
+                         C.Blob.begin() + C.TokenSendCountAt + 8 +
+                             4 * C.Cfg.numHarts());
+  Machine R(C.Cfg);
+  std::string Err;
+  EXPECT_FALSE(R.restoreSnapshot(B, Err));
+  EXPECT_NE(Err.find("counters"), std::string::npos) << Err;
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/EventHash.h"
+#include "support/Serialize.h"
 #include "support/SplitMix64.h"
 #include "support/StringUtils.h"
 
@@ -145,6 +146,48 @@ TEST(EventHash, EqualStreamsHashEqual) {
     B.addEvent(I, I * 3, I * 7);
   }
   EXPECT_EQ(A.value(), B.value());
+}
+
+//===----------------------------------------------------------------------===//
+// ByteReader: hostile vector counts fail the reader instead of throwing
+//===----------------------------------------------------------------------===//
+
+TEST(ByteReader, HugeVectorCountFails) {
+  // 2^61 eight-byte elements is 2^64 bytes: a size check that multiplies
+  // wraps to zero and lets reserve() throw.
+  for (bool Wide : {false, true}) {
+    ByteWriter W;
+    W.u64(uint64_t(1) << 61);
+    W.u64(42);
+    ByteReader R(W.buffer());
+    size_t Got = Wide ? R.vecU64().size() : R.vecU32().size();
+    EXPECT_EQ(Got, 0u);
+    EXPECT_FALSE(R.ok()) << (Wide ? "vecU64" : "vecU32");
+  }
+}
+
+TEST(ByteReader, ShortVectorFails) {
+  // A count of four with two elements present: the reader must fail, not
+  // hand back an empty vector and read on from the misaligned bytes.
+  ByteWriter W;
+  W.u64(4);
+  W.u64(1);
+  W.u64(2);
+  ByteReader R(W.buffer());
+  EXPECT_TRUE(R.vecU64().empty());
+  EXPECT_FALSE(R.ok());
+
+  ByteWriter W32;
+  W32.vecU32({1, 2, 3});
+  std::vector<uint8_t> Cut = W32.buffer();
+  Cut.resize(Cut.size() - 2);
+  ByteReader R32(Cut);
+  EXPECT_TRUE(R32.vecU32().empty());
+  EXPECT_FALSE(R32.ok());
+
+  ByteReader Whole(W32.buffer());
+  EXPECT_EQ(Whole.vecU32(), (std::vector<uint32_t>{1, 2, 3}));
+  EXPECT_TRUE(Whole.ok());
 }
 
 } // namespace
