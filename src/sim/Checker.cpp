@@ -68,19 +68,21 @@ static const char *deliveryKindName(Delivery::Kind K) {
 }
 
 uint8_t lbp::sim::deliveryParity(const Delivery &D) {
-  // Every field except the parity byte itself, folded through a small
-  // multiplicative mix so any single-bit flip changes the result.
-  uint64_t W = static_cast<uint8_t>(D.K);
-  W = W * 131 + D.HartId;
-  W = W * 131 + D.Value;
-  W = W * 131 + D.Addr;
-  W = W * 131 + D.RespCycle;
-  W = W * 131 + D.StoreWord;
-  W = W * 131 + D.Width;
-  W = W * 131 + D.Slot;
-  W = W * 131 + (static_cast<unsigned>(D.IsWrite) |
-                 static_cast<unsigned>(D.SignExt) << 1 |
-                 static_cast<unsigned>(D.CountsMem) << 2);
+  // Every field except the parity byte itself, packed into disjoint bit
+  // ranges of three words and XOR-folded down to one byte. Each payload
+  // bit lands on exactly one bit of the fold, so any single-bit flip
+  // changes the result; the fold has no carries and no dependent
+  // multiplies.
+  uint64_t Small = static_cast<uint64_t>(D.K) |
+                   static_cast<uint64_t>(D.HartId) << 8 |
+                   static_cast<uint64_t>(D.Width) << 24 |
+                   static_cast<uint64_t>(D.Slot) << 32 |
+                   static_cast<uint64_t>(D.IsWrite) << 40 |
+                   static_cast<uint64_t>(D.SignExt) << 41 |
+                   static_cast<uint64_t>(D.CountsMem) << 42;
+  uint64_t Words = static_cast<uint64_t>(D.Value) |
+                   static_cast<uint64_t>(D.Addr) << 32;
+  uint64_t W = Small ^ Words ^ D.RespCycle ^ D.StoreWord;
   W ^= W >> 32;
   W ^= W >> 16;
   W ^= W >> 8;
@@ -244,8 +246,8 @@ void Checker::sweep(Machine &M) {
   // the far-future overflow map.
   if (SweepCount % 64 == 0) {
     uint64_t OnWheel = M.Overflow.size();
-    for (const std::vector<Delivery> &Slot : M.Wheel)
-      OnWheel += Slot.size();
+    for (uint64_t S = 0; S != Machine::WheelSize; ++S)
+      M.forEachInSlot(S, [&](const Delivery &) { ++OnWheel; });
     if (OnWheel != PendingDeliveries)
       report(M, CheckKind::WheelImbalance, 0,
              formatString("delivery wheel holds %llu entries but %llu "

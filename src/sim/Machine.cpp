@@ -47,11 +47,9 @@ Machine::Machine(const SimConfig &Config)
   // Stall-cause classification observes every core-cycle (including the
   // idle ones), so it forces the reference scheduling loop.
   FastRun = Cfg.FastPath && !Cfg.CollectStallStats;
-  // Pre-size the delivery plumbing so the steady state never allocates:
-  // a few entries per wheel slot covers the common fan-in, and slots
-  // that burst beyond it keep their grown capacity across laps.
-  for (std::vector<Delivery> &Slot : Wheel)
-    Slot.reserve(4);
+  // Pre-size the delivery plumbing for a typical in-flight count; the
+  // pool and DueBuf grow past it only while a run warms up to its peak.
+  Pool.reserve(64);
   DueBuf.reserve(64);
 }
 
@@ -225,20 +223,41 @@ void Machine::schedule(uint64_t At, Delivery D) {
     std::push_heap(Overflow.begin(), Overflow.end(), overflowLater);
     return;
   }
-  Wheel[At % WheelSize].push_back(D);
+  wheelAppend(At % WheelSize, D);
+}
+
+void Machine::wheelAppend(uint64_t Slot, const Delivery &D) {
+  uint32_t N = FreeNode;
+  if (N != NilNode) {
+    FreeNode = Pool[N].Next;
+    Pool[N] = {D, NilNode};
+  } else {
+    assert(Pool.size() < NilNode && "delivery pool index space exhausted");
+    N = static_cast<uint32_t>(Pool.size());
+    Pool.push_back({D, NilNode});
+  }
+  WheelSlot &S = Wheel[Slot];
+  if (S.Tail == NilNode)
+    S.Head = N;
+  else
+    Pool[S.Tail].Next = N;
+  S.Tail = N;
   ++WheelCount;
 }
 
 void Machine::collectDue() {
-  // The due wheel slot is swapped into a reused staging buffer (no
-  // per-cycle allocation, and the slot keeps its grown capacity for the
-  // next lap); due far-future deliveries append behind it, preserving
-  // the wheel-before-overflow arrival order of the reference loop.
+  // The due slot is copied out in FIFO order and its whole list spliced
+  // onto the free list; due far-future deliveries append behind it,
+  // preserving the wheel-before-overflow arrival order.
   DueBuf.clear();
-  std::vector<Delivery> &Slot = Wheel[Cycle % WheelSize];
-  if (!Slot.empty()) {
-    WheelCount -= Slot.size();
-    std::swap(DueBuf, Slot);
+  WheelSlot &S = Wheel[Cycle % WheelSize];
+  if (S.Head != NilNode) {
+    for (uint32_t N = S.Head; N != NilNode; N = Pool[N].Next)
+      DueBuf.push_back(Pool[N].D);
+    WheelCount -= DueBuf.size();
+    Pool[S.Tail].Next = FreeNode;
+    FreeNode = S.Head;
+    S = WheelSlot();
   }
   while (!Overflow.empty() && Overflow.front().At == Cycle) {
     DueBuf.push_back(Overflow.front().D);
@@ -1347,7 +1366,7 @@ uint64_t Machine::nextDeliveryCycle() const {
     // Every wheel entry lands within WheelSize cycles of now, so the
     // first populated slot on the walk forward is the earliest one.
     for (uint64_t K = 1; K <= WheelSize; ++K) {
-      if (!Wheel[(Cycle + K) % WheelSize].empty()) {
+      if (Wheel[(Cycle + K) % WheelSize].Head != NilNode) {
         if (Cycle + K < Next)
           Next = Cycle + K;
         break;
@@ -1564,9 +1583,8 @@ void Machine::armPerturb() {
 
 unsigned Machine::pendingDeliveriesFor(unsigned HartId) const {
   unsigned N = 0;
-  for (const std::vector<Delivery> &Slot : Wheel)
-    for (const Delivery &D : Slot)
-      N += D.HartId == HartId;
+  for (uint64_t S = 0; S != WheelSize; ++S)
+    forEachInSlot(S, [&](const Delivery &D) { N += D.HartId == HartId; });
   for (const OverflowEntry &Entry : Overflow)
     N += Entry.D.HartId == HartId;
   return N;

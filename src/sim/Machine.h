@@ -404,20 +404,42 @@ private:
   EngineKind Engine = EngineKind::Reference;
   std::string EngineNote;
 
-  // Delivery wheel with a far-future overflow heap. The overflow used
-  // to be a std::multimap; the flat min-heap keeps the hot path free of
-  // node allocations and pointer chasing. Seq preserves the multimap's
-  // insertion order among equal arrival cycles, which the event stream
-  // depends on.
+  // Delivery wheel: WheelSize slots of absolute-cycle residues, each a
+  // FIFO list threaded through one pool of nodes, plus a far-future
+  // overflow heap. The pool holds the deliveries in flight, not a vector
+  // per slot sized by its worst burst: a node freed at arrival goes on a
+  // LIFO free list and is reused by the next schedule, so the pool grows
+  // only until it reaches the run's peak in-flight count. Arrival order
+  // within a slot is insertion order, which the event stream (and with
+  // it the trace hash) depends on.
   static constexpr uint64_t WheelSize = 1 << 14;
-  std::vector<std::vector<Delivery>> Wheel;
+  static constexpr uint32_t NilNode = UINT32_MAX;
+  struct WheelNode {
+    Delivery D;
+    uint32_t Next; ///< Next node of the slot list or of the free list.
+  };
+  struct WheelSlot {
+    uint32_t Head = NilNode;
+    uint32_t Tail = NilNode;
+  };
+  std::vector<WheelNode> Pool;
+  uint32_t FreeNode = NilNode; ///< Head of the pool's free list.
+  std::vector<WheelSlot> Wheel;
+  /// Appends \p D to the tail of wheel slot \p Slot.
+  void wheelAppend(uint64_t Slot, const Delivery &D);
+  /// Calls \p Fn on every delivery of wheel slot \p Slot, oldest first.
+  template <typename FnT> void forEachInSlot(uint64_t Slot, FnT Fn) const {
+    for (uint32_t N = Wheel[Slot].Head; N != NilNode; N = Pool[N].Next)
+      Fn(Pool[N].D);
+  }
   struct OverflowEntry {
     uint64_t At;
     uint64_t Seq;
     Delivery D;
   };
   /// Heap comparator ("later than" on (At, Seq)): std::push_heap with
-  /// this predicate builds a min-heap on arrival order.
+  /// this predicate builds a min-heap on arrival order. Seq preserves
+  /// insertion order among equal arrival cycles.
   static bool overflowLater(const OverflowEntry &L, const OverflowEntry &R) {
     return L.At != R.At ? L.At > R.At : L.Seq > R.Seq;
   }
@@ -427,9 +449,9 @@ private:
   /// Entries currently on the wheel (excluding Overflow); lets the fast
   /// path and the checker audit skip full wheel scans when it is empty.
   size_t WheelCount = 0;
-  /// Per-cycle delivery staging buffer: run() swaps the due wheel slot
-  /// into it instead of draining in place, so slot capacity is reused
-  /// across laps instead of reallocated.
+  /// Per-cycle delivery staging buffer: collectDue copies the due slot
+  /// into it and frees the slot's nodes before any delivery applies, so
+  /// deliveries that schedule new ones never touch the list being read.
   std::vector<Delivery> DueBuf;
 
   /// Effective fast-path switch for this run: SimConfig::FastPath minus

@@ -16,10 +16,13 @@
 
 #include "sim/Snapshot.h"
 
+#include "isa/AddressMap.h"
 #include "sim/Interp.h"
 #include "sim/Machine.h"
 #include "support/EventHash.h"
 #include "support/Serialize.h"
+
+#include <algorithm>
 
 using namespace lbp;
 using namespace lbp::sim;
@@ -121,8 +124,14 @@ struct SnapshotAccess {
     W.b(D.CountsMem);
     W.u8(D.Parity);
   }
-  static void restoreDelivery(ByteReader &R, Delivery &D) {
-    D.K = static_cast<Delivery::Kind>(R.u8());
+  /// Serialized size of one delivery (saveDelivery).
+  static constexpr uint64_t DeliveryBytes = 29;
+  /// Reads one delivery and range-checks every field deliver() uses as
+  /// an index or size, so a hostile blob fails here instead of there.
+  static bool restoreDelivery(ByteReader &R, const Machine &M, Delivery &D,
+                              std::string &Err) {
+    uint8_t K = R.u8();
+    D.K = static_cast<Delivery::Kind>(K);
     D.HartId = R.u16();
     D.Value = R.u32();
     D.Addr = R.u32();
@@ -134,6 +143,32 @@ struct SnapshotAccess {
     D.SignExt = R.b();
     D.CountsMem = R.b();
     D.Parity = R.u8();
+    if (!R.ok()) {
+      Err = "snapshot: delivery truncated";
+      return false;
+    }
+    bool Valid = K <= static_cast<uint8_t>(Delivery::Kind::SlotFill) &&
+                 D.HartId < M.Cfg.numHarts() && D.Slot < ResultSlots &&
+                 (D.Width == 1 || D.Width == 2 || D.Width == 4);
+    if (Valid && D.K == Delivery::Kind::BankAccess) {
+      // The bank port indexes a local bank by the owning core carried
+      // in Value, a global bank by the address.
+      if (isa::isLocalAddr(D.Addr)) {
+        Valid = D.Value < M.Cfg.NumCores &&
+                D.Addr - isa::LocalBase + D.Width <= isa::LocalSize;
+      } else {
+        uint32_t Rel = D.Addr - isa::GlobalBase;
+        Valid = isa::isGlobalAddr(D.Addr) &&
+                (Rel >> M.Cfg.GlobalBankSizeLog2) < M.Cfg.NumCores &&
+                (Rel & (M.Cfg.globalBankSize() - 1)) + D.Width <=
+                    M.Cfg.globalBankSize();
+      }
+    }
+    if (!Valid) {
+      Err = "snapshot: delivery field out of range";
+      return false;
+    }
+    return true;
   }
 
   static void saveHart(ByteWriter &W, const Hart &H) {
@@ -231,7 +266,10 @@ struct SnapshotAccess {
     }
     H.SlotBacklog.clear();
     uint64_t N = R.u64();
-    H.SlotBacklog.reserve(R.ok() ? N : 0);
+    // Five bytes an entry: a count the blob cannot hold only reserves
+    // what it could, and the reads below run out.
+    H.SlotBacklog.reserve(R.ok() ? std::min<uint64_t>(N, R.remaining() / 5)
+                                 : 0);
     for (uint64_t I = 0; I != N && R.ok(); ++I) {
       uint8_t Slot = R.u8();
       uint32_t Val = R.u32();
@@ -529,18 +567,17 @@ struct SnapshotAccess {
     // the absolute-cycle residue; since Cycle is restored too, verbatim
     // slot contents land exactly where collectDue() will look.
     uint64_t NonEmpty = 0;
-    for (const auto &Slot : M.Wheel)
-      if (!Slot.empty())
-        ++NonEmpty;
+    for (const Machine::WheelSlot &Slot : M.Wheel)
+      NonEmpty += Slot.Head != Machine::NilNode;
     W.u64(NonEmpty);
     for (uint64_t S = 0; S != Machine::WheelSize; ++S) {
-      const auto &Slot = M.Wheel[S];
-      if (Slot.empty())
+      if (M.Wheel[S].Head == Machine::NilNode)
         continue;
+      uint64_t Len = 0;
+      M.forEachInSlot(S, [&](const Delivery &) { ++Len; });
       W.u64(S);
-      W.u64(Slot.size());
-      for (const Delivery &D : Slot)
-        saveDelivery(W, D);
+      W.u64(Len);
+      M.forEachInSlot(S, [&](const Delivery &D) { saveDelivery(W, D); });
     }
     // Overflow heap verbatim (array order preserves the heap layout and
     // with it the exact pop sequence).
@@ -630,9 +667,17 @@ struct SnapshotAccess {
       M.CoreWake[CoreId] = R.u64();
     }
 
-    for (auto &Slot : M.Wheel)
-      Slot.clear();
+    // The restoring machine may have run already: drop its wheel and
+    // pool (the node layout is not part of the blob, only slot order).
+    M.Pool.clear();
+    M.FreeNode = Machine::NilNode;
+    M.Wheel.assign(Machine::WheelSize, Machine::WheelSlot());
+    M.WheelCount = 0;
     uint64_t NonEmpty = R.u64();
+    if (NonEmpty > Machine::WheelSize) {
+      Err = "snapshot: more wheel slots than the wheel has";
+      return false;
+    }
     for (uint64_t I = 0; I != NonEmpty && R.ok(); ++I) {
       uint64_t S = R.u64();
       if (S >= Machine::WheelSize) {
@@ -640,26 +685,51 @@ struct SnapshotAccess {
         return false;
       }
       uint64_t N = R.u64();
-      auto &Slot = M.Wheel[S];
-      Slot.resize(N);
-      for (Delivery &D : Slot)
-        restoreDelivery(R, D);
+      if (N > R.remaining() / DeliveryBytes) {
+        Err = "snapshot: wheel slot longer than the blob";
+        return false;
+      }
+      for (uint64_t K = 0; K != N; ++K) {
+        Delivery D;
+        if (!restoreDelivery(R, M, D, Err))
+          return false;
+        M.wheelAppend(S, D);
+      }
     }
     uint64_t NOverflow = R.u64();
+    if (NOverflow > R.remaining() / (16 + DeliveryBytes)) {
+      Err = "snapshot: overflow heap longer than the blob";
+      return false;
+    }
     M.Overflow.clear();
-    M.Overflow.reserve(R.ok() ? NOverflow : 0);
-    for (uint64_t I = 0; I != NOverflow && R.ok(); ++I) {
+    M.Overflow.reserve(NOverflow);
+    for (uint64_t I = 0; I != NOverflow; ++I) {
       Machine::OverflowEntry E;
       E.At = R.u64();
       E.Seq = R.u64();
-      restoreDelivery(R, E.D);
+      if (!restoreDelivery(R, M, E.D, Err))
+        return false;
       M.Overflow.push_back(E);
     }
+    if (!std::is_heap(M.Overflow.begin(), M.Overflow.end(),
+                      Machine::overflowLater)) {
+      Err = "snapshot: overflow entries are not a heap";
+      return false;
+    }
     M.OverflowSeq = R.u64();
-    M.WheelCount = R.u64();
+    if (R.u64() != M.WheelCount && R.ok()) {
+      Err = "snapshot: wheel count disagrees with the wheel slots";
+      return false;
+    }
     M.DueBuf.clear(); // per-cycle scratch, empty between cycles
 
     M.Cycle = R.u64();
+    for (const Machine::OverflowEntry &E : M.Overflow) {
+      if (E.At <= M.Cycle) {
+        Err = "snapshot: overflow delivery due in the past";
+        return false;
+      }
+    }
     M.LastProgress = R.u64();
     uint8_t St = R.u8();
     if (St > static_cast<uint8_t>(RunStatus::Deadline)) {
@@ -795,7 +865,7 @@ bool Interp::restoreSnapshot(const std::vector<uint8_t> &Blob,
   uint64_t N = R.u64();
   Pages.clear();
   LastPage = nullptr; // memoized pointer into the old page set
-  Pages.reserve(R.ok() ? N : 0);
+  Pages.reserve(R.ok() ? std::min<uint64_t>(N, R.remaining()) : 0);
   for (uint64_t I = 0; I != N && R.ok(); ++I) {
     auto P = std::make_unique<Page>();
     P->Base = R.u32();

@@ -58,7 +58,11 @@ constexpr uint32_t SnapshotMagic = 0x5350424Cu;
 /// the trace hash (docs/OBSERVABILITY.md "Divergence triage").
 /// v4: the per-hart PendingGateOps/PendingSendOps and the machine
 /// GateCount/SendCount (parallel-engine bookkeeping) are gone.
-constexpr uint32_t SnapshotFormatVersion = 4;
+/// v5: the link parity byte of every in-flight delivery is the XOR fold
+/// of deliveryParity (sim/Checker.h); the layout is unchanged, but a v4
+/// blob's parity bytes would fail the arrival check. The pooled delivery
+/// wheel writes the same wheel section bytes as the vector-per-slot one.
+constexpr uint32_t SnapshotFormatVersion = 5;
 
 /// Trailer sentinel appended after the last section.
 constexpr uint32_t SnapshotTrailer = 0x50414E53u; // 'S' 'N' 'A' 'P'

@@ -32,6 +32,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace lbp;
 using namespace lbp::sim;
 
@@ -547,6 +549,224 @@ TEST(Snapshot, RejectsVectorTruncatedMidway) {
   std::string Err;
   EXPECT_FALSE(R.restoreSnapshot(B, Err));
   EXPECT_NE(Err.find("counters"), std::string::npos) << Err;
+}
+
+//===----------------------------------------------------------------------===//
+// Delivery wheel section
+//===----------------------------------------------------------------------===//
+
+/// Serialized size of one delivery in the wheel and overflow sections.
+constexpr size_t DeliveryBytes = 29;
+
+uint64_t u64At(const std::vector<uint8_t> &B, size_t At) {
+  uint64_t V = 0;
+  for (unsigned I = 0; I != 8; ++I)
+    V |= static_cast<uint64_t>(B[At + I]) << (8 * I);
+  return V;
+}
+
+void putU64(std::vector<uint8_t> &B, size_t At, uint64_t V) {
+  for (unsigned I = 0; I != 8; ++I)
+    B[At + I] = static_cast<uint8_t>(V >> (8 * I));
+}
+
+/// Where the delivery wheel section sits in a machine blob, and what it
+/// holds. The section is u64 non-empty slot count, then per slot u64
+/// index and u64 length and the deliveries, then u64 overflow count,
+/// (u64 At, u64 Seq, delivery) per entry, u64 next sequence number,
+/// u64 wheel count, and the u64 machine cycle right after it.
+struct WheelLayout {
+  size_t FirstSlotLenAt = 0; ///< Offset of the first slot's length.
+  size_t OverflowCountAt = 0;
+  uint64_t MaxSlotLen = 0;
+  uint64_t OverflowCount = 0;
+};
+
+/// Finds the wheel section by parsing forward from every offset until
+/// all of its internal consistency holds: at least one slot, slot
+/// indices strictly ascending below the wheel size, the trailing wheel
+/// count equal to the sum of the slot lengths and the cycle after it
+/// equal to \p Cycle. False when no offset parses.
+bool findWheel(const std::vector<uint8_t> &B, uint64_t Cycle,
+               WheelLayout &L) {
+  const size_t End = B.size();
+  for (size_t Start = 0; Start + 8 <= End; ++Start) {
+    uint64_t NonEmpty = u64At(B, Start);
+    if (NonEmpty == 0 || NonEmpty > (1u << 14))
+      continue;
+    size_t P = Start + 8;
+    uint64_t Total = 0, MaxLen = 0, PrevSlot = 0;
+    bool Ok = true;
+    for (uint64_t I = 0; I != NonEmpty && Ok; ++I) {
+      if (P + 16 > End) {
+        Ok = false;
+        break;
+      }
+      uint64_t Slot = u64At(B, P), Len = u64At(B, P + 8);
+      Ok = Slot < (1u << 14) && (I == 0 || Slot > PrevSlot) && Len != 0 &&
+           Len <= (End - P - 16) / DeliveryBytes;
+      if (I == 0)
+        L.FirstSlotLenAt = P + 8;
+      PrevSlot = Slot;
+      Total += Len;
+      MaxLen = std::max(MaxLen, Len);
+      P += 16 + Len * DeliveryBytes;
+    }
+    if (!Ok || P + 8 > End)
+      continue;
+    uint64_t NOverflow = u64At(B, P);
+    if (NOverflow > (End - P) / (16 + DeliveryBytes))
+      continue;
+    size_t Tail = P + 8 + NOverflow * (16 + DeliveryBytes);
+    if (Tail + 24 > End || u64At(B, Tail + 8) != Total ||
+        u64At(B, Tail + 16) != Cycle)
+      continue;
+    L.OverflowCountAt = P;
+    L.MaxSlotLen = MaxLen;
+    L.OverflowCount = NOverflow;
+    return true;
+  }
+  return false;
+}
+
+/// A 4-core phases blob saved at cycle 1,500 and its wheel layout.
+struct WheelBlob {
+  SimConfig Cfg = SimConfig::lbp(4);
+  std::vector<uint8_t> Blob;
+  WheelLayout L;
+  bool Found = false;
+
+  WheelBlob() {
+    Machine M(Cfg);
+    M.load(assembleOrDie(phasesSrc()));
+    M.run(1500);
+    M.saveSnapshot(Blob);
+    Found = findWheel(Blob, M.cycles(), L);
+  }
+
+  /// Restores \p B into a fresh machine; returns the error ("" if the
+  /// restore succeeded).
+  std::string restore(const std::vector<uint8_t> &B) const {
+    Machine R(Cfg);
+    std::string Err;
+    if (R.restoreSnapshot(B, Err))
+      return "";
+    return Err.empty() ? "restore failed without an error" : Err;
+  }
+};
+
+TEST(Snapshot, RejectsHugeWheelSlotLength) {
+  // A slot length past the bytes left used to reach Slot.resize and
+  // abort the process with bad_alloc or length_error.
+  WheelBlob W;
+  ASSERT_TRUE(W.Found) << "no wheel section with a pending delivery";
+  EXPECT_EQ(W.restore(W.Blob), "");
+  for (uint64_t Huge : {uint64_t(1) << 40, uint64_t(1) << 62}) {
+    std::vector<uint8_t> B = W.Blob;
+    putU64(B, W.L.FirstSlotLenAt, Huge);
+    std::string Err = W.restore(B);
+    EXPECT_NE(Err.find("wheel slot longer than the blob"), std::string::npos)
+        << "length " << Huge << ": " << Err;
+  }
+}
+
+TEST(Snapshot, RejectsHugeOverflowCount) {
+  // Same for the overflow heap's count and its reserve.
+  WheelBlob W;
+  ASSERT_TRUE(W.Found) << "no wheel section with a pending delivery";
+  for (uint64_t Huge : {uint64_t(1) << 40, uint64_t(1) << 62}) {
+    std::vector<uint8_t> B = W.Blob;
+    putU64(B, W.L.OverflowCountAt, Huge);
+    std::string Err = W.restore(B);
+    EXPECT_NE(Err.find("overflow heap longer than the blob"),
+              std::string::npos)
+        << "count " << Huge << ": " << Err;
+  }
+}
+
+TEST(Snapshot, RejectsOutOfRangeDelivery) {
+  // deliver() indexes CoreWake and the harts by HartId, the result
+  // slots by Slot, and reads Width bytes from a bank: each out-of-range
+  // field of a restored delivery must fail the restore instead.
+  WheelBlob W;
+  ASSERT_TRUE(W.Found) << "no wheel section with a pending delivery";
+  const size_t D = W.L.FirstSlotLenAt + 8; // first delivery
+  struct Mutation {
+    const char *What;
+    size_t Offset;
+    std::vector<uint8_t> Bytes;
+  };
+  const uint16_t Harts = static_cast<uint16_t>(W.Cfg.numHarts());
+  const Mutation Mutations[] = {
+      {"kind past SlotFill", 0, {8}},
+      {"kind 0xff", 0, {0xff}},
+      {"hart = numHarts", 1,
+       {static_cast<uint8_t>(Harts), static_cast<uint8_t>(Harts >> 8)}},
+      {"hart 0xffff", 1, {0xff, 0xff}},
+      {"width 3", 23, {3}},
+      {"width 0", 23, {0}},
+      {"slot = ResultSlots", 24, {static_cast<uint8_t>(ResultSlots)}},
+  };
+  for (const Mutation &Mu : Mutations) {
+    std::vector<uint8_t> B = W.Blob;
+    for (size_t I = 0; I != Mu.Bytes.size(); ++I)
+      B[D + Mu.Offset + I] = Mu.Bytes[I];
+    std::string Err = W.restore(B);
+    EXPECT_NE(Err.find("delivery field out of range"), std::string::npos)
+        << Mu.What << ": " << Err;
+  }
+}
+
+/// The wheel pool's node layout is not part of the blob: a blob saved
+/// with one slot holding several deliveries and the overflow heap in
+/// use restores into a machine that has already run further (its pool
+/// has nodes on the free list), saves back byte for byte, and finishes
+/// like the run that was never interrupted, on both engines.
+TEST(Snapshot, WheelPoolRoundTripIntoUsedMachine) {
+  assembler::Program Prog = assembleOrDie(phasesSrc());
+  SimConfig Base = SimConfig::lbp(4);
+  // Delays of up to 40,000 cycles push a delayed delivery past the
+  // wheel's 16,384-cycle horizon into the overflow heap.
+  Base.Faults.Seed = 3;
+  Base.Faults.Delays = 4;
+  Base.Faults.MaxDelay = 40000;
+  Base.Faults.WindowBegin = 1;
+  Base.Faults.WindowEnd = 400;
+  // At cycle 230 one wheel slot holds two deliveries and one delayed
+  // delivery waits in the overflow heap (asserted below).
+  const uint64_t SnapAt = 230;
+  for (const EngineCell &C : Cells) {
+    SimConfig Cfg = cellConfig(Base, C);
+    Machine Full(Cfg);
+    Full.load(Prog);
+    Fingerprint Want = fingerprint(Full, Full.run(4000000));
+    ASSERT_EQ(Want.Status, RunStatus::Exited) << C.Name << ": " << Want.Message;
+
+    Machine First(Cfg);
+    First.load(Prog);
+    First.run(SnapAt);
+    std::vector<uint8_t> Blob;
+    First.saveSnapshot(Blob);
+    WheelLayout L;
+    ASSERT_TRUE(findWheel(Blob, First.cycles(), L)) << C.Name;
+    EXPECT_GE(L.MaxSlotLen, 2u) << C.Name << ": no slot holds two deliveries";
+    EXPECT_GE(L.OverflowCount, 1u) << C.Name << ": overflow heap is empty";
+
+    Machine Used(Cfg);
+    Used.load(Prog);
+    Used.run(SnapAt + 700);
+    std::string Err;
+    ASSERT_TRUE(Used.restoreSnapshot(Blob, Err)) << C.Name << ": " << Err;
+    std::vector<uint8_t> Blob2;
+    Used.saveSnapshot(Blob2);
+    EXPECT_EQ(Blob, Blob2) << C.Name << ": blob changed through a used pool";
+
+    Fingerprint Got = fingerprint(Used, Used.run(4000000));
+    EXPECT_TRUE(Want == Got)
+        << C.Name << ": resumed run diverged\n  cycles " << Want.Cycles
+        << " vs " << Got.Cycles << "\n  hash " << Want.Hash << " vs "
+        << Got.Hash;
+  }
 }
 
 //===----------------------------------------------------------------------===//
